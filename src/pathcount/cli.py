@@ -15,7 +15,7 @@ import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from . import counting, identities
+from . import identities
 from .counting import (
     DEFAULT_THEOREM_CAP,
     ENGINES,
@@ -29,7 +29,7 @@ from .counting import (
 )
 from .exactmath import binom
 from .paths import Heights, delta, format_heights, parse_path_spec
-from .symbolic import expand, serialize, symbolic_lp, verify_det_identity
+from .symbolic import expand, serialize, symbolic_lp, term_items, verify_det_identity
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -38,16 +38,6 @@ EXIT_CAPACITY = 3
 
 ENUMERATE_CAP = 100_000
 BENCH_SIZES = (20, 50, 100, 200)
-BENCH_ENGINES = ("determinant", "triangular", "recurrence")
-VERIFY_SUITES = (
-    "cross-engine",
-    "macmahon",
-    "lemma",
-    "vandermonde",
-    "children",
-    "det-identity",
-    "eq3",
-)
 
 
 class UsageError(Exception):
@@ -61,18 +51,29 @@ def _parse_path(spec: str) -> Heights:
         raise UsageError(str(exc)) from None
 
 
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
+    return value
+
+
+def _refusal(exc: CapacityError) -> str:
+    """The reason in a "<what> capacity exceeded: <reason>" refusal."""
+    return str(exc).partition("capacity exceeded: ")[2]
+
+
 def cmd_count(args) -> int:
     p = _parse_path(args.path)
     engines = ENGINES if args.engine == "all" else (args.engine,)
     results = {}
     for engine in engines:
-        if args.engine == "all" and engine == "theorem" and len(p) > args.theorem_cap:
-            print(
-                f"note: theorem engine skipped (n = {len(p)} is over the cap {args.theorem_cap})",
-                file=sys.stderr,
-            )
-            continue
-        results[engine] = count(p, engine, theorem_cap=args.theorem_cap)
+        try:
+            results[engine] = count(p, engine, theorem_cap=args.theorem_cap)
+        except CapacityError as exc:
+            if args.engine != "all":
+                raise
+            print(f"note: {engine} engine skipped ({_refusal(exc)})", file=sys.stderr)
     for engine, value in results.items():
         if args.format == "json":
             print(json.dumps({"path": {"heights": list(p)}, "engine": engine, "count": str(value)}))
@@ -110,22 +111,14 @@ def cmd_symbolic(args) -> int:
         print(len(poly.terms))
         return EXIT_OK
     if args.expand:
-        mono = expand(poly)
-        if args.format == "json":
-            terms = [
-                {"coeff": f"{c.numerator}/{c.denominator}", "exponents": list(e)}
-                for e, c in sorted(mono.coeffs.items())
-            ]
-            print(json.dumps({"nvars": mono.nvars, "basis": "monomial", "terms": terms}))
-        else:
-            print(serialize(mono))
-        return EXIT_OK
+        poly = expand(poly)
     if args.format == "json":
         terms = [
-            {"coeff": f"{t.coeff.numerator}/{t.coeff.denominator}", "exponents": list(t.exponents)}
-            for t in poly.terms
+            {"coeff": f"{c.numerator}/{c.denominator}", "exponents": list(e)}
+            for e, c in term_items(poly)
         ]
-        print(json.dumps({"nvars": poly.nvars, "basis": "rising-factorial", "terms": terms}))
+        basis = "monomial" if args.expand else "rising-factorial"
+        print(json.dumps({"nvars": poly.nvars, "basis": basis, "terms": terms}))
     else:
         print(serialize(poly))
     return EXIT_OK
@@ -195,7 +188,7 @@ def _suite_eq3(seed: int, theorem_cap: int) -> tuple[bool, str]:
     return True, "two-coordinate reduction agrees for all v1, v2, y <= 6"
 
 
-_SUITE_RUNNERS = {
+VERIFY_SUITES = {
     "cross-engine": _suite_cross_engine,
     "macmahon": _suite_macmahon,
     "lemma": _suite_lemma,
@@ -209,7 +202,7 @@ _SUITE_RUNNERS = {
 def cmd_verify(args) -> int:
     if args.suite == "all":
         names = VERIFY_SUITES
-    elif args.suite in _SUITE_RUNNERS:
+    elif args.suite in VERIFY_SUITES:
         names = (args.suite,)
     else:
         raise UsageError(
@@ -217,7 +210,7 @@ def cmd_verify(args) -> int:
         )
     all_passed = True
     for name in names:
-        passed, detail = _SUITE_RUNNERS[name](args.seed, args.theorem_cap)
+        passed, detail = VERIFY_SUITES[name](args.seed, args.theorem_cap)
         all_passed = all_passed and passed
         if args.format == "json":
             print(json.dumps({"suite": name, "passed": passed, "detail": detail}))
@@ -260,21 +253,16 @@ def cmd_bench(args) -> int:
     rows = []
     for n in BENCH_SIZES:
         p = tuple(sorted(rng.randint(0, n) for _ in range(n)))
-        for engine in BENCH_ENGINES:
+        for engine in ENGINES:
             start = time.perf_counter()
-            value = count(p, engine)
+            try:
+                value = count(p, engine, theorem_cap=args.theorem_cap)
+            except CapacityError as exc:
+                rows.append({"n": n, "engine": engine, "status": f"refused ({_refusal(exc)})"})
+                continue
             elapsed = time.perf_counter() - start
             rows.append(
                 {"n": n, "engine": engine, "seconds": round(elapsed, 6), "result_bits": value.bit_length()}
-            )
-        if n > args.theorem_cap:
-            rows.append({"n": n, "engine": "theorem", "status": f"refused (over cap {args.theorem_cap})"})
-        else:
-            start = time.perf_counter()
-            value = count(p, "theorem", theorem_cap=args.theorem_cap)
-            elapsed = time.perf_counter() - start
-            rows.append(
-                {"n": n, "engine": "theorem", "seconds": round(elapsed, 6), "result_bits": value.bit_length()}
             )
     if args.format == "json":
         print(json.dumps(rows))
@@ -299,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(sp, seed=False):
         sp.add_argument("--format", choices=("plain", "json"), default="plain")
-        sp.add_argument("--theorem-cap", type=int, default=DEFAULT_THEOREM_CAP, dest="theorem_cap")
+        sp.add_argument("--theorem-cap", type=nonnegative_int, default=DEFAULT_THEOREM_CAP, dest="theorem_cap")
         if seed:
             sp.add_argument("--seed", type=int, default=0)
 
@@ -316,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_enumerate)
 
     sp = sub.add_parser("symbolic", help="rising-factorial count polynomial in n variables")
-    sp.add_argument("n", type=int)
+    sp.add_argument("n", type=nonnegative_int)
     sp.add_argument("--expand", action="store_true")
     sp.add_argument("--count-terms", action="store_true", dest="count_terms")
     add_common(sp)
@@ -334,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp)
     sp.set_defaults(func=cmd_probability)
 
-    sp = sub.add_parser("bench", help="time the scalable engines on random paths")
+    sp = sub.add_parser("bench", help="time every engine on random paths")
     add_common(sp, seed=True)
     sp.set_defaults(func=cmd_bench)
 
@@ -343,6 +331,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # counts may have any number of digits; lift the interpreter's int/str
+    # conversion limit for this call only
+    digit_limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except UsageError as exc:
@@ -351,6 +344,9 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

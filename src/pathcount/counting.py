@@ -4,7 +4,7 @@
 ``v``, equals the number of paths restricted by the height path ``sigma(v)``.
 Five independent engines compute it:
 
-* ``recurrence``  - memoized head recurrence on difference vectors;
+* ``recurrence``  - bottom-up head recurrence on difference vectors;
 * ``determinant`` - Kreweras' binomial determinant, evaluated exactly;
 * ``triangular``  - forward substitution through the inclusion-exclusion
   triangular system behind that determinant;
@@ -20,7 +20,7 @@ subcommand enforce this.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement, product
+from itertools import accumulate, combinations_with_replacement, product
 from math import prod
 from typing import Iterator
 
@@ -29,8 +29,6 @@ from .paths import Diffs, Heights, Point, delta, sigma, validate_heights
 
 DEFAULT_THEOREM_CAP = 14
 DEFAULT_MONOMIAL_CAP = 10**6
-
-ENGINES = ("recurrence", "determinant", "triangular", "theorem", "dp")
 
 
 class CapacityError(Exception):
@@ -60,35 +58,24 @@ def enumerate_polytope(v: Diffs) -> Iterator[Point]:
     return walk(0, 0)
 
 
-def count_recurrence(v: Diffs, memo: dict[Diffs, int] | None = None) -> int:
+def count_recurrence(v: Diffs) -> int:
     """Count lattice points of the polytope of ``v`` by the head recurrence.
 
     lp(()) = 1 and lp(v) = sum over j = 0..v_1 of
     lp((v_1 + v_2 - j, v_3, ..., v_n)): group points by first coordinate j;
     dropping that coordinate lands in the polytope of the shortened vector.
-    For n = 1 the sum collapses to v_1 + 1 copies of the empty polytope.
-    ``memo`` maps every difference vector encountered to its count and is
-    filled as a side effect.
+    With f_k(s) = lp((s, v_{k+1}, ..., v_n)) this reads
+    f_k(s) = sum over t = v_{k+1}..s + v_{k+1} of f_{k+1}(t), and
+    f_n(s) = s + 1.  The columns f_n, ..., f_1 are built right to left, each
+    as one running sum of the last, and lp(v) = f_1(v_1).  Column k is kept
+    only for v_k <= s <= v_1 + ... + v_k, the arguments column k - 1 reads.
     """
-    if memo is None:
-        memo = {}
-
-    def lp(u: Diffs) -> int:
-        cached = memo.get(u)
-        if cached is not None:
-            return cached
-        if not u:
-            result = 1
-        elif len(u) == 1:
-            result = u[0] + 1
-        else:
-            head, second = u[0], u[1]
-            tail = u[2:]
-            result = sum(lp((head + second - j,) + tail) for j in range(head + 1))
-        memo[u] = result
-        return result
-
-    return lp(tuple(v))
+    if not v:
+        return 1
+    column = range(v[-1] + 1, sum(v) + 2)
+    for x in reversed(v[:-1]):
+        column = list(accumulate(column))[x:]
+    return column[0]
 
 
 def count_determinant(p: Heights) -> int:
@@ -183,8 +170,10 @@ def macmahon_total(n: int, m: int) -> int:
         raise ValueError(f"endpoint ({n}, {m}) has a negative coordinate")
     num = factorial(m + n) * factorial(m + n + 1)
     den = factorial(m) * factorial(n) * factorial(m + 1) * factorial(n + 1)
-    assert num % den == 0
-    return num // den
+    total, rest = divmod(num, den)
+    if rest:
+        raise ArithmeticError(f"MacMahon quotient for ({n}, {m}) is not an integer")
+    return total
 
 
 def macmahon_bruteforce(n: int, m: int) -> int:
@@ -214,17 +203,21 @@ def monomial_oracle(p: Heights, cap: int = DEFAULT_MONOMIAL_CAP) -> int:
     return len(seen)
 
 
+# engine name -> kernel(heights, theorem_cap); a kernel over its cap raises CapacityError
+_KERNELS = {
+    "recurrence": lambda p, cap: count_recurrence(delta(p)),
+    "determinant": lambda p, cap: count_determinant(p),
+    "triangular": lambda p, cap: count_triangular(p),
+    "theorem": count_theorem,
+    "dp": lambda p, cap: dp_oracle(p),
+}
+ENGINES = tuple(_KERNELS)
+
+
 def count(p: Heights, engine: str, theorem_cap: int = DEFAULT_THEOREM_CAP) -> int:
     """Count paths restricted by ``p`` with the named engine."""
     p = validate_heights(p)
-    if engine in ("dp", "dp_oracle"):
-        return dp_oracle(p)
-    if engine == "recurrence":
-        return count_recurrence(delta(p))
-    if engine == "determinant":
-        return count_determinant(p)
-    if engine == "triangular":
-        return count_triangular(p)
-    if engine == "theorem":
-        return count_theorem(p, cap=theorem_cap)
-    raise ValueError(f"unknown engine {engine!r}; expected one of: {', '.join(ENGINES)}")
+    kernel = _KERNELS.get(engine)
+    if kernel is None:
+        raise ValueError(f"unknown engine {engine!r}; expected one of: {', '.join(ENGINES)}")
+    return kernel(p, theorem_cap)

@@ -25,13 +25,14 @@ def binom(n: int, k: int) -> int:
     ``binom(n, 0) == 1`` for every integer ``n`` (including negatives) and
     ``binom(-1, k) == 0`` for ``k >= 1``, the m = -1 case of the binomial
     series.  ``k < 0`` gives 0.  Arguments with ``n <= -2`` and ``k >= 1``
-    never arise in this library and are rejected in debug runs.
+    never arise in this library and raise ``ValueError``.
     """
     if k < 0:
         return 0
     if k == 0:
         return 1
-    assert n >= -1, f"binom({n}, {k}): n <= -2 with k >= 1 is outside the supported domain"
+    if n < -1:
+        raise ValueError(f"binom({n}, {k}): n <= -2 with k >= 1 is outside the supported domain")
     if n < k:
         return 0
     return math.comb(n, k)
@@ -81,28 +82,17 @@ def det_cofactor(a: list[list[int]]) -> int:
 def det_int(a) -> int:
     """Exact determinant of a square integer matrix.
 
-    Runs fraction-free (Bareiss) elimination: every division performed is
-    exact, keeping all intermediates integral.  The 0x0 matrix has
-    determinant 1.  Should the divisibility check ever trip, matrices up to
-    4x4 fall back to cofactor expansion.
+    Runs fraction-free (Bareiss) elimination: by Sylvester's identity every
+    division performed is exact, keeping all intermediates integral.  The
+    0x0 matrix has determinant 1.
     """
-    rows = [list(row) for row in a]
-    n = len(rows)
-    for row in rows:
+    a = [list(row) for row in a]
+    n = len(a)
+    for row in a:
         if len(row) != n:
             raise ValueError("matrix is not square")
     if n == 0:
         return 1
-    try:
-        return _det_bareiss([row[:] for row in rows])
-    except ArithmeticError:
-        if n <= 4:
-            return det_cofactor(rows)
-        raise
-
-
-def _det_bareiss(a: list[list[int]]) -> int:
-    n = len(a)
     sign = 1
     prev = 1
     for k in range(n - 1):

@@ -29,6 +29,7 @@ __all__ = [
     "expand",
     "serialize",
     "symbolic_lp",
+    "term_items",
     "verify_det_identity",
 ]
 
@@ -79,9 +80,9 @@ def symbolic_lp(n: int, cap: int = DEFAULT_THEOREM_CAP) -> RFPolynomial:
     for x in enumerate_polytope((1,) * n):
         coeff = Fraction(1, prod(factorial(e) for e in x))
         terms.append(RFTerm(coeff, x))
-    poly = RFPolynomial(tuple(terms), n)
-    assert len(poly.terms) == catalan(n + 1)
-    return poly
+    if len(terms) != catalan(n + 1):
+        raise RuntimeError(f"{len(terms)} terms for n = {n}, expected the Catalan number C_{n + 1}")
+    return RFPolynomial(tuple(terms), n)
 
 
 def _rf_coeffs(m: int) -> list[int]:
@@ -123,7 +124,7 @@ def evaluate(poly: RFPolynomial | MonomialPolynomial, v: Diffs) -> Fraction:
     """Exact value at the integer difference vector ``v``.
 
     These polynomials always take integer values at integer points, which is
-    asserted on every call.
+    checked on every call.
     """
     if len(v) != poly.nvars:
         raise ValueError(f"expected {poly.nvars} values, got {len(v)}")
@@ -144,7 +145,8 @@ def evaluate(poly: RFPolynomial | MonomialPolynomial, v: Diffs) -> Fraction:
             for base, e in zip(v, exps):
                 mono *= base**e
             total += coeff * mono
-    assert total.denominator == 1, "count polynomial evaluated to a non-integer"
+    if total.denominator != 1:
+        raise ArithmeticError(f"count polynomial evaluated to the non-integer {total}")
     return total
 
 
@@ -164,14 +166,17 @@ def verify_det_identity(n: int, trials: int, seed: int | None = None) -> bool:
     return True
 
 
+def term_items(poly: RFPolynomial | MonomialPolynomial) -> list[tuple[tuple[int, ...], Fraction]]:
+    """The ``(exponents, coeff)`` pairs of ``poly`` in lexicographic exponent order."""
+    if isinstance(poly, RFPolynomial):
+        return [(t.exponents, t.coeff) for t in poly.terms]
+    return sorted(poly.coeffs.items())
+
+
 def serialize(poly: RFPolynomial | MonomialPolynomial) -> str:
     """Stable text form: one term per line, ``num/den  e1,e2,...,en``."""
-    if isinstance(poly, RFPolynomial):
-        items = [(t.exponents, t.coeff) for t in poly.terms]
-    else:
-        items = sorted(poly.coeffs.items())
     lines = []
-    for exps, coeff in items:
+    for exps, coeff in term_items(poly):
         tail = ",".join(str(e) for e in exps)
         lines.append(f"{coeff.numerator}/{coeff.denominator}  {tail}".rstrip())
     return "\n".join(lines)

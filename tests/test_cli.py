@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import math
+import sys
 
 import pytest
 
 from pathcount import cli
-from pathcount.counting import ENGINES
+from pathcount.counting import ENGINES, dp_oracle
 from pathcount.paths import parse_path_spec
 
 
@@ -59,6 +61,25 @@ def test_count_json_round_trip(capsys):
         assert out2.strip() == record["count"]
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit")
+def test_count_over_int_str_digit_limit(capsys):
+    n, m = 120, 10**40
+    spec = "h:" + ",".join([str(m)] * n)
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(capsys, "count", spec, "--engine", "triangular")
+    code_json, out_json, _ = run(capsys, "count", spec, "--engine", "triangular", "--format", "json")
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        want = str(math.comb(n + m, n))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(want) > 4300
+    assert code == code_json == 0
+    assert out == want + "\n"
+    assert json.loads(out_json)["count"] == want
+
+
 def test_count_parse_errors_exit_2(capsys):
     for bad in ("h:1,x", "h:2,1", "q:1", "w:ENQ"):
         code, _, err = run(capsys, "count", bad)
@@ -104,6 +125,13 @@ def test_enumerate_count_only(capsys):
     code, out, _ = run(capsys, "enumerate", "h:1,2,3", "--count-only")
     assert code == 0
     assert out == "14\n"
+
+
+def test_enumerate_count_only_long_path(capsys):
+    p = tuple(8 * i // 1200 for i in range(1200))
+    code, out, _ = run(capsys, "enumerate", "h:" + ",".join(map(str, p)), "--count-only")
+    assert code == 0
+    assert out == f"{dp_oracle(p)}\n"
 
 
 def test_enumerate_cap(capsys, monkeypatch):
@@ -157,6 +185,20 @@ def test_symbolic_cap_exit_3(capsys):
     assert "cap" in err
     code, _, _ = run(capsys, "symbolic", "4", "--theorem-cap", "3")
     assert code == 3
+
+
+def test_symbolic_negative_n_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["symbolic", "-1"])
+    assert exc.value.code == 2
+    assert "negative" in capsys.readouterr().err
+
+
+def test_negative_theorem_cap_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["count", "h:1,2,3", "--theorem-cap", "-5"])
+    assert exc.value.code == 2
+    assert "negative" in capsys.readouterr().err
 
 
 def test_verify_single_suites(capsys):
@@ -241,7 +283,7 @@ def test_bench_small_sizes(capsys, monkeypatch):
     rows = json.loads(out)
     timed = [r for r in rows if "seconds" in r]
     refused = [r for r in rows if "status" in r]
-    assert {r["engine"] for r in timed} >= {"determinant", "triangular", "recurrence"}
+    assert {r["engine"] for r in timed} == set(ENGINES)
     # n=5 is under the cap so theorem runs there; n=20 must be refused
     assert any(r["engine"] == "theorem" and r["n"] == 20 for r in refused)
     assert any(r["engine"] == "theorem" and r["n"] == 5 for r in timed)

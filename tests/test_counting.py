@@ -103,24 +103,23 @@ def test_recurrence_base_cases():
     assert count_recurrence((1, 1, 1)) == brute_restricted_count((1, 2, 3))
 
 
-def test_recurrence_fills_memo():
-    memo = {}
-    count_recurrence((2, 1), memo)
-    assert memo[(2, 1)] == count_recurrence((2, 1))
-    assert all(count_recurrence(k) == val for k, val in memo.items())
-
-
-def test_memo_entries_match_oracle():
-    memo = {}
+def test_recurrence_suffix_problems_match_oracle():
+    # the suffix problems (s,) + v[k:] are the columns the recurrence builds
     rng = random.Random(99)
     for _ in range(25):
         n = rng.randint(0, 7)
         v = tuple(rng.randint(0, 6) for _ in range(n))
-        count_recurrence(v, memo)
-    keys = list(memo)
-    sample = rng.sample(keys, max(1, len(keys) // 20))
-    for key in sample:
-        assert memo[key] == dp_oracle(sigma(key))
+        assert count_recurrence(v) == dp_oracle(sigma(v)), v
+        for k in range(1, n):
+            for s in range(sum(v[:k]) + 1):
+                u = (s,) + v[k:]
+                assert count_recurrence(u) == dp_oracle(sigma(u)), u
+
+
+def test_recurrence_long_low_paths():
+    for n in (800, 2000):
+        p = tuple(8 * i // n for i in range(n))
+        assert count(p, "recurrence") == dp_oracle(p)
 
 
 def test_determinant_examples():
@@ -181,7 +180,7 @@ def test_dp_oracle_against_brute_force():
 def test_count_dispatch():
     assert count((1, 2, 3), "recurrence") == 14
     assert count((2, 2, 2), "determinant") == 10
-    for engine in ENGINES + ("dp_oracle",):
+    for engine in ENGINES:
         assert count((), engine) == 1
     with pytest.raises(ValueError):
         count((1,), "magic")

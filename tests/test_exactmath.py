@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
 from itertools import permutations, product
 
 import pytest
 
+import pathcount
 from pathcount.exactmath import (
     binom,
     catalan,
@@ -43,6 +47,19 @@ def test_binom_extension_values():
     assert binom(3, -2) == 0
     assert binom(-7, 0) == 1
     assert binom(2, 5) == 0
+
+
+def test_binom_rejects_domain_under_optimize():
+    # the domain check must survive python -O, which strips asserts
+    src = os.path.dirname(os.path.dirname(pathcount.__file__))
+    code = (
+        "from pathcount.exactmath import binom\n"
+        "try:\n    binom(-3, 2)\nexcept ValueError:\n    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60)
+    assert proc.returncode == 0
 
 
 def test_binom_matches_comb_on_standard_domain():
