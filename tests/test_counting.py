@@ -103,7 +103,23 @@ def test_recurrence_base_cases():
     assert count_recurrence((1, 1, 1)) == brute_restricted_count((1, 2, 3))
 
 
-def test_recurrence_suffix_problems_match_oracle():
+def test_recurrence_fills_memo():
+    # each column entry f_k(s) is the suffix problem (s,) + v[k:], and the
+    # head recurrence sums the next column over t = v_{k+1}..s + v_{k+1}
+    for v in [(2, 1), (1, 1, 1), (3, 0, 2), (0, 4, 1, 2)]:
+        for k in range(len(v) - 1):
+            for s in range(v[k], sum(v[: k + 1]) + 1):
+                tail = v[k + 1 :]
+                head = count_recurrence((s,) + tail)
+                nxt = sum(
+                    count_recurrence((t,) + tail[1:])
+                    for t in range(tail[0], s + tail[0] + 1)
+                )
+                assert head == nxt, (v, k, s)
+    assert count_recurrence((2, 1)) == brute_restricted_count((2, 3))
+
+
+def test_memo_entries_match_oracle():
     # the suffix problems (s,) + v[k:] are the columns the recurrence builds
     rng = random.Random(99)
     for _ in range(25):
