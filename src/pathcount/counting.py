@@ -6,8 +6,8 @@ Five independent engines compute it:
 
 * ``recurrence``  - bottom-up head recurrence on difference vectors;
 * ``determinant`` - Kreweras' binomial determinant, evaluated exactly;
-* ``triangular``  - forward substitution through the inclusion-exclusion
-  triangular system behind that determinant;
+* ``triangular``  - banded forward substitution through the triangular
+  system behind that determinant, stepping each live binomial in place;
 * ``theorem``     - sum of binomial products over the lattice points of the
   all-ones polytope (capacity-capped: the term count is a Catalan number);
 * ``dp``          - column-by-column dynamic program directly over admissible
@@ -25,7 +25,7 @@ from math import prod
 from typing import Iterator
 
 from .exactmath import binom, det_int, factorial
-from .paths import Diffs, Heights, Point, delta, sigma, validate_heights
+from .paths import Diffs, Heights, Point, delta, sigma, validate_diffs, validate_heights
 
 DEFAULT_THEOREM_CAP = 14
 DEFAULT_MONOMIAL_CAP = 10**6
@@ -40,22 +40,28 @@ def enumerate_polytope(v: Diffs) -> Iterator[Point]:
 
     Points are the nonnegative integer tuples whose every prefix sum is
     bounded by the matching prefix sum of ``v``, emitted in lexicographic
-    order.  The stream is lazy and single-consumer.
+    order.  The stream is lazy and single-consumer.  An odometer: ``cap[i]``
+    bounds coordinate i given those before it; each step bumps the last
+    coordinate below its cap and zeroes the ones after it, which needs
+    ``v`` nonnegative: a negative entry raises ``ValueError``.
     """
+    v = validate_diffs(v)
     n = len(v)
     point = [0] * n
-
-    def walk(i: int, slack: int) -> Iterator[Point]:
-        if i == n:
-            yield tuple(point)
+    cap = list(accumulate(v))
+    while True:
+        yield tuple(point)
+        i = n - 1
+        while i >= 0 and point[i] == cap[i]:
+            i -= 1
+        if i < 0:
             return
-        cap = slack + v[i]
-        for x in range(cap + 1):
-            point[i] = x
-            yield from walk(i + 1, cap - x)
-        point[i] = 0
-
-    return walk(0, 0)
+        point[i] += 1
+        room = cap[i] - point[i]
+        for j in range(i + 1, n):
+            point[j] = 0
+            room += v[j]
+            cap[j] = room
 
 
 def count_recurrence(v: Diffs) -> int:
@@ -86,20 +92,24 @@ def count_determinant(p: Heights) -> int:
 
 
 def count_triangular(p: Heights) -> int:
-    """Solve the inclusion-exclusion triangular system by forward substitution.
+    """Solve the inclusion-exclusion triangular system by banded forward substitution.
 
-    Equation j pins the count for the length-j prefix of ``p`` in terms of
-    the shorter prefixes, so one O(n^2) sweep produces LP of every prefix and
-    finally of ``p`` itself.
+    Row i of equation j is (-1)^(j-i) binom(p_i + 1, j - i + 1) LP(p_1..p_(i-1)), zero once
+    j > i + p_i.  As ``p`` is nondecreasing, rows die in the order they were added: the live
+    ones are the band ``terms[lo:]``, each stepping its term in place by binom(m, k + 1) =
+    binom(m, k) (m - k) / (k + 1), an exact division.  O(n * min(n, max p)) small-integer steps.
     """
-    counts = [1]  # counts[k] = number of paths below the length-k prefix
-    for j in range(1, len(p) + 1):
-        acc = 0
-        for i in range(1, j + 1):
-            term = binom(p[i - 1] + 1, j - i + 1) * counts[i - 1]
-            acc += term if (j - i) % 2 == 0 else -term
-        counts.append(acc)
-    return counts[-1]
+    lp, lo, terms = 1, 0, []  # LP of the prefix so far; terms[r]: row r's signed term
+    for j, h in enumerate(p):
+        acc = (h + 1) * lp
+        for r in range(lo, j):
+            t = terms[r] = terms[r] * (j - r - p[r] - 1) // (j - r + 1)
+            acc += t
+        terms.append((h + 1) * lp)
+        while not terms[lo]:  # dead rows stay zero; the row just added never is
+            lo += 1
+        lp = acc
+    return lp
 
 
 def count_theorem(p: Heights, cap: int = DEFAULT_THEOREM_CAP) -> int:

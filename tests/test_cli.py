@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
 import sys
 
 import pytest
 
+import pathcount
 from pathcount import cli
 from pathcount.counting import ENGINES, dp_oracle
 from pathcount.paths import parse_path_spec
@@ -17,6 +20,21 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_capped(*argv, limit=1 << 30):
+    """Run the CLI in a child whose address space is capped at ``limit`` bytes."""
+    resource = pytest.importorskip("resource")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = os.path.dirname(os.path.dirname(pathcount.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "pathcount.cli", *argv],
+        env=env, preexec_fn=cap, capture_output=True, text=True, timeout=120,
+    )
 
 
 def test_count_plain_single_engine(capsys):
@@ -134,6 +152,19 @@ def test_enumerate_count_only_long_path(capsys):
     assert out == f"{dp_oracle(p)}\n"
 
 
+def test_enumerate_long_single_point_path(capsys):
+    spec = "h:" + ",".join("0" * 1200)
+    code, out, _ = run(capsys, "enumerate", spec)
+    assert code == 0
+    assert out == spec + "\n"
+
+
+def test_enumerate_count_only_tall_path_bounded_memory():
+    proc = run_capped("enumerate", "d:1000000000,1", "--count-only")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{(10**9 + 2) * (10**9 + 3) // 2 - 1}\n"
+
+
 def test_enumerate_cap(capsys, monkeypatch):
     monkeypatch.setattr(cli, "ENUMERATE_CAP", 5)
     code, _, err = run(capsys, "enumerate", "h:1,2,3")
@@ -214,6 +245,13 @@ def test_verify_children_suite(capsys):
     assert "pass" in out
 
 
+def test_verify_cross_engine_under_theorem_cap(capsys):
+    code, out, _ = run(capsys, "verify", "cross-engine", "--theorem-cap", "3")
+    assert code == 0
+    assert out.startswith("cross-engine: pass")
+    assert "theorem skipped" in out
+
+
 def test_verify_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "bogus")
     assert code == 2
@@ -257,6 +295,12 @@ def test_probability_empty_path(capsys):
     code, out, _ = run(capsys, "probability", "h:", "0", "3")
     assert code == 0
     assert out == "1\n"
+
+
+def test_probability_tall_path_bounded_memory():
+    proc = run_capped("probability", "h:1000000000", "1", "1000000000")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1\n"
 
 
 def test_probability_inconsistent_endpoint(capsys):

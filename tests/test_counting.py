@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations_with_replacement, product
 
 import pytest
+from hypothesis import given, strategies as st
 
+import pathcount
 from pathcount.counting import (
     ENGINES,
     CapacityError,
@@ -60,6 +65,12 @@ def nondecreasing_tuples(n, top):
     return combinations_with_replacement(range(top + 1), n)
 
 
+# sorted heights made of runs of equal values, zero included
+runs_st = st.lists(st.tuples(st.integers(0, 12), st.integers(1, 5)), max_size=8).map(
+    lambda runs: tuple(sorted(h for h, k in runs for _ in range(k)))
+)
+
+
 # --- enumerate_polytope ---------------------------------------------------
 
 
@@ -91,6 +102,17 @@ def test_enumerate_polytope_is_lazy():
     stream = enumerate_polytope((10,) * 10)
     first = next(iter(stream))
     assert first == (0,) * 10
+
+
+def test_enumerate_polytope_long_single_point():
+    # one coordinate per step, no recursion: 5000 zeros give the one point
+    assert list(enumerate_polytope((0,) * 5000)) == [(0,) * 5000]
+    assert len(list(enumerate_polytope((0,) * 3000 + (2,)))) == 3
+
+
+def test_enumerate_polytope_rejects_negative_diffs():
+    with pytest.raises(ValueError, match="negative"):
+        list(enumerate_polytope((2, -1)))
 
 
 # --- individual engines ---------------------------------------------------
@@ -159,6 +181,33 @@ def test_triangular_examples():
     assert count_triangular((2, 2, 2)) == brute_restricted_count((2, 2, 2))
 
 
+@given(runs_st)
+def test_triangular_matches_dp_oracle(p):
+    assert count_triangular(p) == dp_oracle(p)
+
+
+def test_triangular_single_row():
+    for m in (0, 1, 2, 17, 10**3, 10**6, 10**9 - 1, 10**9):
+        assert count_triangular((m,)) == m + 1
+
+
+def test_triangular_long_low_paths():
+    rng = random.Random(2000)
+    for n in (2000, 5000):
+        p = tuple(sorted(rng.randint(0, 3) for _ in range(n)))
+        assert count_triangular(p) == dp_oracle(p)
+    assert count_triangular((0,) * 5000) == 1
+
+
+def test_triangular_short_tall_paths():
+    rng = random.Random(40)
+    for top in (10**6, 10**18, 10**30):
+        p = tuple(sorted(rng.randint(0, top) for _ in range(40)))
+        assert count_triangular(p) == count_determinant(p)
+    p = (10**30,) * 40
+    assert count_triangular(p) == binom(10**30 + 40, 40)
+
+
 def test_theorem_examples():
     assert count_theorem(()) == 1
     for n in range(1, 8):
@@ -209,6 +258,24 @@ def test_cross_engine_exhaustive_small():
         for p in nondecreasing_tuples(n, 3):
             values = {engine: count(p, engine) for engine in ENGINES}
             assert len(set(values.values())) == 1, (p, values)
+
+
+def test_cross_engine_under_optimize():
+    # a python -O child strips asserts; every engine must still agree
+    src = os.path.dirname(os.path.dirname(pathcount.__file__))
+    code = (
+        "import random\n"
+        "from pathcount.counting import ENGINES, count\n"
+        "if __debug__:\n    raise SystemExit('not running under -O')\n"
+        "rng = random.Random(50)\n"
+        "for _ in range(50):\n"
+        "    p = tuple(sorted(rng.randint(0, 30) for _ in range(rng.randint(0, 9))))\n"
+        "    if len({count(p, e) for e in ENGINES}) != 1:\n"
+        "        raise SystemExit(f'engines disagree on {p}')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=120)
+    assert proc.returncode == 0
 
 
 def test_cross_engine_randomized():
