@@ -5,7 +5,8 @@
 Five independent engines compute it:
 
 * ``recurrence``  - bottom-up head recurrence on difference vectors;
-* ``determinant`` - Kreweras' binomial determinant, evaluated exactly;
+* ``determinant`` - Kreweras' binomial determinant, evaluated exactly by an
+  elimination that skips the zeros below its subdiagonal;
 * ``triangular``  - banded forward substitution through the triangular
   system behind that determinant, stepping each live binomial in place;
 * ``theorem``     - sum of binomial products over the lattice points of the
@@ -15,13 +16,14 @@ Five independent engines compute it:
   against.
 
 All engines agree on every input; the test suite and the ``verify`` CLI
-subcommand enforce this.
+subcommand enforce this.  ``dp`` and ``recurrence`` refuse, through
+``CapacityError``, a path whose longest column would pass ``MAX_COLUMN``.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate, combinations_with_replacement, product
-from math import prod
+from math import comb, prod
 from typing import Iterator
 
 from .exactmath import binom, det_int, factorial
@@ -29,6 +31,9 @@ from .paths import Diffs, Heights, Point, delta, sigma, validate_diffs, validate
 
 DEFAULT_THEOREM_CAP = 14
 DEFAULT_MONOMIAL_CAP = 10**6
+# longest column, in integers, that the dp and recurrence engines may build;
+# two such columns of big integers stay within a few hundred megabytes
+MAX_COLUMN = 10**7
 
 
 class CapacityError(Exception):
@@ -85,7 +90,15 @@ def count_recurrence(v: Diffs) -> int:
 
 
 def count_determinant(p: Heights) -> int:
-    """Count restricted paths as Kreweras' determinant det[binom(p_i + 1, j - i + 1)]."""
+    """Count restricted paths as Kreweras' determinant det[binom(p_i + 1, j - i + 1)].
+
+    The matrix is built in full with :func:`~pathcount.exactmath.binom`, sharing nothing
+    with ``triangular``.  Its entries vanish for j < i - 1, so it is upper Hessenberg:
+    at each Bareiss step of :func:`~pathcount.exactmath.det_int` only the row just below
+    the pivot has a nonzero lead, the rows further down keep their stored values with
+    ``div[i] == 1`` (the Bareiss row is ``row * prev / div[i]``), and the elimination
+    makes O(n^2) big-integer operations.
+    """
     n = len(p)
     matrix = [[binom(p[i] + 1, j - i + 1) for j in range(n)] for i in range(n)]
     return det_int(matrix)
@@ -119,8 +132,10 @@ def count_theorem(p: Heights, cap: int = DEFAULT_THEOREM_CAP) -> int:
     C_{n+1} lattice points x of prod_i binom(v_{n+1-i} + x_i - 1, x_i), the
     binomials taken with the extended convention of :func:`~pathcount.exactmath.binom`
     so that a zero v entry forces x_i = 0.  The depth-first walk shares
-    partial products along common prefixes and abandons a branch as soon as a
-    factor vanishes.  Refuses n > cap since the term count grows like C_{n+1}.
+    partial products along common prefixes.  It steps over zero entries in a
+    loop (factor 1, one more unit of slack), so every factor it branches on
+    is positive and the recursion is only as deep as ``v`` has nonzero
+    entries.  Refuses n > cap since the term count grows like C_{n+1}.
     """
     n = len(p)
     if n > cap:
@@ -128,14 +143,15 @@ def count_theorem(p: Heights, cap: int = DEFAULT_THEOREM_CAP) -> int:
     w = tuple(reversed(delta(p)))  # w[i] feeds the binomial at position i of each point
 
     def walk(i: int, slack: int, partial: int) -> int:
+        while i < n and not w[i]:  # a zero entry forces x_i = 0: factor 1, one more slack
+            i += 1
+            slack += 1
         if i == n:
             return partial
         total = 0
-        wi = w[i]
+        m = w[i] - 1  # w[i] >= 1 here, so every factor comb(m + x, x) is positive
         for x in range(slack + 2):
-            f = binom(wi + x - 1, x)
-            if f:
-                total += walk(i + 1, slack + 1 - x, partial * f)
+            total += walk(i + 1, slack + 1 - x, partial * comb(m + x, x))
         return total
 
     return walk(0, 0, 1)
@@ -213,13 +229,31 @@ def monomial_oracle(p: Heights, cap: int = DEFAULT_MONOMIAL_CAP) -> int:
     return len(seen)
 
 
+def _column_refusal(engine: str, length: int) -> CapacityError:
+    return CapacityError(
+        f"{engine} engine capacity exceeded: a column of {length} integers is over the cap {MAX_COLUMN}"
+    )
+
+
+def _recurrence_kernel(p: Heights, cap: int) -> int:
+    if len(p) > 1 and p[-2] >= MAX_COLUMN:  # its longest column has p_(n-1) + 1 entries
+        raise _column_refusal("recurrence", p[-2] + 1)
+    return count_recurrence(delta(p))
+
+
+def _dp_kernel(p: Heights, cap: int) -> int:
+    if p and p[-1] >= MAX_COLUMN:  # its last column holds heights 0..p_n
+        raise _column_refusal("dp", p[-1] + 1)
+    return dp_oracle(p)
+
+
 # engine name -> kernel(heights, theorem_cap); a kernel over its cap raises CapacityError
 _KERNELS = {
-    "recurrence": lambda p, cap: count_recurrence(delta(p)),
+    "recurrence": _recurrence_kernel,
     "determinant": lambda p, cap: count_determinant(p),
     "triangular": lambda p, cap: count_triangular(p),
     "theorem": count_theorem,
-    "dp": lambda p, cap: dp_oracle(p),
+    "dp": _dp_kernel,
 }
 ENGINES = tuple(_KERNELS)
 

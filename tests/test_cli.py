@@ -121,6 +121,27 @@ def test_count_all_skips_theorem_over_cap(capsys):
     assert "skipped" in err
 
 
+def test_count_theorem_long_zero_run(capsys):
+    spec = "h:" + ",".join("0" * 1200)
+    code, out, _ = run(capsys, "count", spec, "--engine", "theorem", "--theorem-cap", "5000")
+    assert code == 0
+    assert out == "1\n"
+
+
+def test_count_all_tall_path_bounded_memory():
+    proc = run_capped("count", "d:1000000000")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [f"{e} 1000000001" for e in ENGINES if e != "dp"]
+    assert proc.stderr.startswith("note: dp engine skipped (a column of 1000000001 integers")
+
+
+def test_count_recurrence_tall_path_exit_3():
+    proc = run_capped("count", "d:1000000000,1", "--engine", "recurrence")
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert "recurrence engine capacity exceeded" in proc.stderr
+
+
 def test_enumerate_small(capsys):
     code, out, _ = run(capsys, "enumerate", "h:1,1")
     assert code == 0

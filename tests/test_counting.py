@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import pathcount
+from pathcount import counting
 from pathcount.counting import (
     ENGINES,
     CapacityError,
@@ -226,6 +227,13 @@ def test_theorem_cap():
     assert count_theorem((1, 2, 3, 4), cap=4) == catalan(5)
 
 
+def test_theorem_long_zero_runs():
+    # zero differences force x_i = 0, so the walk steps over them without recursing
+    assert count_theorem((0,) * 1200, cap=5000) == 1
+    p = (0,) * 600 + (5,) * 3 + (6,) * 600
+    assert count_theorem(p, cap=5000) == dp_oracle(p) == 69126091837236
+
+
 def test_dp_oracle_examples():
     assert dp_oracle(()) == 1
     assert dp_oracle((1, 2)) == 5
@@ -251,6 +259,20 @@ def test_count_dispatch():
         count((1,), "magic")
     with pytest.raises(ValueError):
         count((2, 1), "dp")
+
+
+def test_column_guard(monkeypatch):
+    # dp builds a column of p_n + 1 heights, recurrence one of p_(n-1) + 1
+    monkeypatch.setattr(counting, "MAX_COLUMN", 5)
+    assert count((1, 4), "dp") == dp_oracle((1, 4))
+    assert count((4, 9), "recurrence") == dp_oracle((4, 9))
+    with pytest.raises(CapacityError, match="dp engine capacity exceeded: a column of 6 "):
+        count((1, 5), "dp")
+    with pytest.raises(CapacityError, match="recurrence engine capacity exceeded: a column of 6 "):
+        count((5, 9), "recurrence")
+    assert count((10**9,), "recurrence") == 10**9 + 1  # one column, never built
+    # dp_oracle itself stays unguarded for macmahon_bruteforce
+    assert dp_oracle((1, 5)) == 11
 
 
 def test_cross_engine_exhaustive_small():
@@ -285,6 +307,14 @@ def test_cross_engine_randomized():
         p = tuple(sorted(rng.randint(0, 40) for _ in range(n)))
         values = {engine: count(p, engine) for engine in ENGINES}
         assert len(set(values.values())) == 1, (p, values)
+
+
+def test_cross_engine_large_random_paths():
+    # n = 200 and 400, which the O(n^2) elimination of the Hessenberg Kreweras matrix reaches
+    rng = random.Random(400)
+    for n in (200, 400):
+        p = tuple(sorted(rng.randint(0, n) for _ in range(n)))
+        assert count_determinant(p) == count_triangular(p) == dp_oracle(p)
 
 
 def test_restriction_bijection_counts():

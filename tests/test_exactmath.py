@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
@@ -158,6 +159,83 @@ def test_det_larger_random_consistency():
         b = [row[:] for row in a]
         b[0], b[1] = b[1], b[0]
         assert det_int(b) == -d
+
+
+def det_fraction(a):
+    """Independent oracle: Gaussian elimination over the rationals."""
+    m = [[Fraction(x) for x in row] for row in a]
+    n = len(m)
+    det = Fraction(1)
+    for k in range(n):
+        pivot_row = next((r for r in range(k, n) if m[r][k]), None)
+        if pivot_row is None:
+            return 0
+        if pivot_row != k:
+            m[k], m[pivot_row] = m[pivot_row], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, n):
+            factor = m[i][k] / m[k][k]
+            for j in range(k, n):
+                m[i][j] -= factor * m[k][j]
+    assert det.denominator == 1
+    return int(det)
+
+
+def test_det_skipped_row_scaled_when_it_pivots():
+    # row 1 has a zero lead at step 0, so it is left at divisor 1; at step 1 it
+    # is the pivot row while the divisor in force is 2, and must be scaled first
+    a = [[2, 1, 1], [0, 3, 1], [1, 1, 5]]
+    assert det_int(a) == det_cofactor(a) == 26
+    # after step 0 the pivot entry of row 1 is zero, so the skipped row 2
+    # swaps in and is scaled before it pivots
+    b = [[2, 2, 1], [1, 1, 2], [0, 3, 1]]
+    assert det_int(b) == det_cofactor(b) == -9
+
+
+def test_det_sparse_against_cofactor_randomized():
+    rng = random.Random(4)
+    for _ in range(3000):
+        n = rng.randint(0, 6)
+        density = rng.random()
+        a = [[rng.randint(-6, 6) if rng.random() < density else 0 for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.5:
+            # zero a leading block so pivots need swaps and rows wait to be updated
+            cut = rng.randint(1, n - 1)
+            for i in range(cut):
+                for j in range(rng.randint(1, n)):
+                    a[i][j] = 0
+            rng.shuffle(a)
+        assert det_int(a) == det_cofactor(a), a
+
+
+def test_det_hessenberg_against_fractions():
+    rng = random.Random(30)
+    for n in list(range(1, 31)) + [30] * 10:
+        a = [
+            [rng.randint(-20, 20) if j >= i - 1 else 0 for j in range(n)]
+            for i in range(n)
+        ]
+        if rng.random() < 0.5:
+            a[rng.randrange(n)][rng.randrange(n)] = 0
+        assert det_int(a) == det_fraction(a), a
+
+
+def test_det_inexact_division_raises_under_optimize():
+    # rational entries break Sylvester's guarantee; the check must survive python -O
+    src = os.path.dirname(os.path.dirname(pathcount.__file__))
+    code = (
+        "from fractions import Fraction\n"
+        "from pathcount.exactmath import det_int\n"
+        "if __debug__:\n    raise SystemExit('not running under -O')\n"
+        "half, third = Fraction(1, 2), Fraction(1, 3)\n"
+        "for a in ([[1, 0], [1, half]], [[1, 1], [0, third]], [[2, 0, 0], [0, third, 1], [0, 0, 1]]):\n"
+        "    try:\n        det_int(a)\n    except ArithmeticError:\n        continue\n"
+        "    raise SystemExit(f'no ArithmeticError on {a}')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60)
+    assert proc.returncode == 0
 
 
 def test_factorial():
