@@ -9,26 +9,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from typing import Iterator
 
-from . import identities
-from .counting import (
-    DEFAULT_THEOREM_CAP,
-    ENGINES,
-    CapacityError,
-    count,
-    enumerate_restricted,
-    macmahon_bruteforce,
-    macmahon_total,
-)
+from .counting import DEFAULT_THEOREM_CAP, ENGINES, CapacityError, count, enumerate_restricted
 from .exactmath import binom
+from .identities import CHECKS
 from .paths import Heights, format_heights, parse_path_spec
-from .symbolic import expand, serialize, symbolic_lp, term_items, verify_det_identity
+from .symbolic import expand, serialize, symbolic_lp, term_items
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -123,107 +114,24 @@ def cmd_symbolic(args) -> int:
     return EXIT_OK
 
 
-def _cross_engine_paths(seed: int) -> Iterator[Heights]:
-    for n in range(6):
-        yield from combinations_with_replacement(range(6), n)
-    rng = random.Random(seed)
-    for _ in range(60):
-        n = rng.randint(0, 9)
-        yield tuple(sorted(rng.randint(0, 40) for _ in range(n)))
-
-
-def _suite_cross_engine(seed: int, theorem_cap: int) -> tuple[bool, str]:
-    checked = 0
-    skipped = dict.fromkeys(ENGINES, 0)  # engine -> paths it refused as over its cap
-    for p in _cross_engine_paths(seed):
-        values = {}
-        for engine in ENGINES:
-            try:
-                values[engine] = count(p, engine, theorem_cap=theorem_cap)
-            except CapacityError:
-                skipped[engine] += 1
-        checked += 1
-        if len(set(values.values())) > 1:
-            return False, f"p={p}: {values}"
-    skips = [f"{engine} skipped {k} paths over its cap" for engine, k in skipped.items() if k]
-    if skips:
-        return True, f"{checked} paths agree across the engines that answered; {', '.join(skips)}"
-    return True, f"{checked} paths agree across all engines"
-
-
-def _suite_macmahon(seed: int, theorem_cap: int) -> tuple[bool, str]:
-    for n in range(6):
-        for m in range(6):
-            got = macmahon_bruteforce(n, m)
-            want = macmahon_total(n, m)
-            if got != want:
-                return False, f"n={n} m={m}: brute force {got} != closed form {want}"
-    return True, "aggregate matches the closed form for all endpoints up to (5, 5)"
-
-
-def _suite_lemma(seed: int, theorem_cap: int) -> tuple[bool, str]:
-    bad = identities.check_lemma(20) + identities.check_telescoping(20)
-    if bad:
-        return False, bad[0]
-    return True, "9261 triples agree (both sides, closed form, telescoping)"
-
-
-def _suite_vandermonde(seed: int, theorem_cap: int) -> tuple[bool, str]:
-    bad = identities.check_vandermonde(20)
-    if bad:
-        return False, bad[0]
-    return True, "all d, e <= 20 with f <= e + 1 agree"
-
-
-def _suite_children(seed: int, theorem_cap: int) -> tuple[bool, str]:
-    bad = identities.check_children_partition(8) + identities.check_parent_child_box(6, 6)
-    if bad:
-        return False, bad[0]
-    return True, "children tile every polytope up to n = 8 and parent inverts them"
-
-
-def _suite_det_identity(seed: int, theorem_cap: int) -> tuple[bool, str]:
-    for n in range(7):
-        if not verify_det_identity(n, 100, seed=seed * 31 + n):
-            return False, f"determinant identity failed at n = {n}"
-    return True, "determinant equals the rising-factorial sum at 100 random points per n <= 6"
-
-
-def _suite_eq3(seed: int, theorem_cap: int) -> tuple[bool, str]:
-    bad = identities.check_eq3(6)
-    if bad:
-        return False, bad[0]
-    return True, "two-coordinate reduction agrees for all v1, v2, y <= 6"
-
-
-VERIFY_SUITES = {
-    "cross-engine": _suite_cross_engine,
-    "macmahon": _suite_macmahon,
-    "lemma": _suite_lemma,
-    "vandermonde": _suite_vandermonde,
-    "children": _suite_children,
-    "det-identity": _suite_det_identity,
-    "eq3": _suite_eq3,
-}
-
-
 def cmd_verify(args) -> int:
     if args.suite == "all":
-        names = VERIFY_SUITES
-    elif args.suite in VERIFY_SUITES:
+        names = CHECKS
+    elif args.suite in CHECKS:
         names = (args.suite,)
     else:
         raise UsageError(
-            f"unknown suite {args.suite!r}; expected one of: all, {', '.join(VERIFY_SUITES)}"
+            f"unknown suite {args.suite!r}; expected one of: all, {', '.join(CHECKS)}"
         )
     all_passed = True
     for name in names:
-        passed, detail = VERIFY_SUITES[name](args.seed, args.theorem_cap)
-        all_passed = all_passed and passed
+        bad, summary = CHECKS[name](args.seed, args.theorem_cap)
+        all_passed = all_passed and not bad
+        detail = bad[0] if bad else summary
         if args.format == "json":
-            print(json.dumps({"suite": name, "passed": passed, "detail": detail}))
+            print(json.dumps({"suite": name, "passed": not bad, "detail": detail}))
         else:
-            print(f"{name}: {'pass' if passed else 'FAIL'} ({detail})")
+            print(f"{name}: {'FAIL' if bad else 'pass'} ({detail})")
     return EXIT_OK if all_passed else EXIT_FAILED
 
 
@@ -236,21 +144,13 @@ def cmd_probability(args) -> int:
         raise UsageError(
             f"path {format_heights(p)} is inconsistent with endpoint ({n}, {m})"
         )
-    favorable = count(p, "triangular")
-    probability = Fraction(favorable, binom(n + m, n))
+    favorable, total = count(p, "triangular"), binom(n + m, n)
+    probability = Fraction(favorable, total)
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "path": {"heights": list(p)},
-                    "n": n,
-                    "m": m,
-                    "favorable": str(favorable),
-                    "total": str(binom(n + m, n)),
-                    "probability": f"{probability.numerator}/{probability.denominator}",
-                }
-            )
-        )
+        print(json.dumps({
+            "path": {"heights": list(p)}, "n": n, "m": m, "favorable": str(favorable),
+            "total": str(total), "probability": f"{probability.numerator}/{probability.denominator}",
+        }))
     else:
         print(probability)
     return EXIT_OK
@@ -293,9 +193,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, seed=False):
+    def add_common(sp, theorem_cap=True, seed=False):
         sp.add_argument("--format", choices=("plain", "json"), default="plain")
-        sp.add_argument("--theorem-cap", type=nonnegative_int, default=DEFAULT_THEOREM_CAP, dest="theorem_cap")
+        if theorem_cap:
+            sp.add_argument("--theorem-cap", type=nonnegative_int, default=DEFAULT_THEOREM_CAP, dest="theorem_cap")
         if seed:
             sp.add_argument("--seed", type=int, default=0)
 
@@ -308,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("enumerate", help="list every path below a path spec")
     sp.add_argument("path")
     sp.add_argument("--count-only", action="store_true", dest="count_only")
-    add_common(sp)
+    add_common(sp, theorem_cap=False)
     sp.set_defaults(func=cmd_enumerate)
 
     sp = sub.add_parser("symbolic", help="rising-factorial count polynomial in n variables")
@@ -327,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("path")
     sp.add_argument("n", type=int)
     sp.add_argument("m", type=int)
-    add_common(sp)
+    add_common(sp, theorem_cap=False)
     sp.set_defaults(func=cmd_probability)
 
     sp = sub.add_parser("bench", help="time every engine on random paths")
@@ -345,7 +246,14 @@ def main(argv=None) -> int:
     if digit_limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed the pipe shows up here at the latest
+        return code
+    except BrokenPipeError:
+        # point stdout at devnull so the flush at interpreter exit cannot fail
+        # again (the SIGPIPE note in the documentation of Python's signal module)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAILED
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -22,11 +22,12 @@ subcommand enforce this.  ``dp`` and ``recurrence`` refuse, through
 
 from __future__ import annotations
 
+import sys
 from itertools import accumulate, combinations_with_replacement, product
 from math import comb, prod
 from typing import Iterator
 
-from .exactmath import binom, det_int, factorial
+from .exactmath import det_int, factorial
 from .paths import Diffs, Heights, Point, delta, sigma, validate_diffs, validate_heights
 
 DEFAULT_THEOREM_CAP = 14
@@ -92,15 +93,18 @@ def count_recurrence(v: Diffs) -> int:
 def count_determinant(p: Heights) -> int:
     """Count restricted paths as Kreweras' determinant det[binom(p_i + 1, j - i + 1)].
 
-    The matrix is built in full with :func:`~pathcount.exactmath.binom`, sharing nothing
-    with ``triangular``.  Its entries vanish for j < i - 1, so it is upper Hessenberg:
-    at each Bareiss step of :func:`~pathcount.exactmath.det_int` only the row just below
-    the pivot has a nonzero lead, the rows further down keep their stored values with
-    ``div[i] == 1`` (the Bareiss row is ``row * prev / div[i]``), and the elimination
-    makes O(n^2) big-integer operations.
+    Its entries vanish for j < i - 1, so it is upper Hessenberg: each row is built as
+    those zeros followed by ``math.comb`` of nonnegative arguments for j >= i - 1, sharing
+    nothing with ``triangular``.  At each Bareiss step of :func:`~pathcount.exactmath.det_int`
+    only the row just below the pivot has a nonzero lead, the rows further down keep their
+    stored values with ``div[i] == 1`` (the Bareiss row is ``row * prev / div[i]``), and the
+    elimination makes O(n^2) big-integer operations.
     """
     n = len(p)
-    matrix = [[binom(p[i] + 1, j - i + 1) for j in range(n)] for i in range(n)]
+    matrix = [
+        [0] * max(i - 1, 0) + [comb(p[i] + 1, j - i + 1) for j in range(max(i - 1, 0), n)]
+        for i in range(n)
+    ]
     return det_int(matrix)
 
 
@@ -135,7 +139,9 @@ def count_theorem(p: Heights, cap: int = DEFAULT_THEOREM_CAP) -> int:
     partial products along common prefixes.  It steps over zero entries in a
     loop (factor 1, one more unit of slack), so every factor it branches on
     is positive and the recursion is only as deep as ``v`` has nonzero
-    entries.  Refuses n > cap since the term count grows like C_{n+1}.
+    entries.  Refuses n > cap since the term count grows like C_{n+1}, and
+    refuses, as over capacity too, a walk deeper than the interpreter's
+    recursion limit.
     """
     n = len(p)
     if n > cap:
@@ -154,7 +160,14 @@ def count_theorem(p: Heights, cap: int = DEFAULT_THEOREM_CAP) -> int:
             total += walk(i + 1, slack + 1 - x, partial * comb(m + x, x))
         return total
 
-    return walk(0, 0, 1)
+    try:
+        return walk(0, 0, 1)
+    except RecursionError:
+        depth = sum(1 for x in w if x)
+        raise CapacityError(
+            f"theorem engine capacity exceeded: {depth} nonzero differences is deeper than "
+            f"the recursion limit {sys.getrecursionlimit()}"
+        ) from None
 
 
 def dp_oracle(p: Heights) -> int:

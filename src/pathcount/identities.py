@@ -5,15 +5,30 @@ all-ones polytopes together; the summation lemma, its telescoping half and
 the generalized Vandermonde identity are what make the correspondence count
 correctly.  Each identity is exposed as plain functions plus an exhaustive
 ``check_*`` driver that returns counterexample descriptions (empty = pass).
+``CHECKS`` lists these checks, with the cross-engine, MacMahon and
+determinant-identity ones, as the suites of ``pathcount verify``.
 """
 
 from __future__ import annotations
 
+import random
+from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations_with_replacement, product
+from typing import Callable, Iterator
 
-from .counting import enumerate_polytope
+from .counting import (
+    DEFAULT_THEOREM_CAP,
+    ENGINES,
+    CapacityError,
+    count,
+    enumerate_polytope,
+    macmahon_bruteforce,
+    macmahon_total,
+)
 from .exactmath import binom
-from .paths import Point
+from .paths import Heights, Point
+from .symbolic import verify_det_identity
 
 
 @dataclass(frozen=True)
@@ -99,51 +114,41 @@ def eq3_sides(v1: int, v2: int, y: int) -> tuple[int, int]:
 def check_lemma(bound: int = 20) -> list[str]:
     """Exhaustive lemma check (lhs = rhs = closed form) on the [0, bound]^3 box."""
     bad = []
-    for a in range(bound + 1):
-        for b in range(bound + 1):
-            for c in range(bound + 1):
-                lhs = lemma_lhs(a, b, c)
-                rhs = lemma_rhs(a, b, c)
-                closed = lemma_closed(a, b, c)
-                if not (lhs == rhs == closed):
-                    bad.append(f"a={a} b={b} c={c}: lhs={lhs} rhs={rhs} closed={closed}")
+    for a, b, c in product(range(bound + 1), repeat=3):
+        lhs, rhs, closed = lemma_lhs(a, b, c), lemma_rhs(a, b, c), lemma_closed(a, b, c)
+        if not (lhs == rhs == closed):
+            bad.append(f"a={a} b={b} c={c}: lhs={lhs} rhs={rhs} closed={closed}")
     return bad
 
 
 def check_telescoping(bound: int = 20) -> list[str]:
     """Exhaustive check that the telescoped sum equals the closed form."""
     bad = []
-    for a in range(bound + 1):
-        for b in range(bound + 1):
-            for c in range(bound + 1):
-                tele = telescoped_sum(a, b, c)
-                closed = lemma_closed(a, b, c)
-                if tele != closed:
-                    bad.append(f"a={a} b={b} c={c}: telescoped={tele} closed={closed}")
+    for a, b, c in product(range(bound + 1), repeat=3):
+        tele, closed = telescoped_sum(a, b, c), lemma_closed(a, b, c)
+        if tele != closed:
+            bad.append(f"a={a} b={b} c={c}: telescoped={tele} closed={closed}")
     return bad
 
 
 def check_vandermonde(bound: int = 20) -> list[str]:
     """Exhaustive generalized-Vandermonde check for d, e <= bound, f <= e + 1."""
     bad = []
-    for d in range(bound + 1):
-        for e in range(bound + 1):
-            for f in range(e + 2):
-                lhs, rhs = vandermonde_gen(d, e, f)
-                if lhs != rhs:
-                    bad.append(f"d={d} e={e} f={f}: lhs={lhs} rhs={rhs}")
+    for d, e in product(range(bound + 1), repeat=2):
+        for f in range(e + 2):
+            lhs, rhs = vandermonde_gen(d, e, f)
+            if lhs != rhs:
+                bad.append(f"d={d} e={e} f={f}: lhs={lhs} rhs={rhs}")
     return bad
 
 
 def check_eq3(bound: int = 6) -> list[str]:
     """Exhaustive two-coordinate reduction check for v1, v2, y <= bound."""
     bad = []
-    for v1 in range(bound + 1):
-        for v2 in range(bound + 1):
-            for y in range(bound + 1):
-                lhs, rhs = eq3_sides(v1, v2, y)
-                if lhs != rhs:
-                    bad.append(f"v1={v1} v2={v2} y={y}: lhs={lhs} rhs={rhs}")
+    for v1, v2, y in product(range(bound + 1), repeat=3):
+        lhs, rhs = eq3_sides(v1, v2, y)
+        if lhs != rhs:
+            bad.append(f"v1={v1} v2={v2} y={y}: lhs={lhs} rhs={rhs}")
     return bad
 
 
@@ -175,8 +180,6 @@ def check_children_partition(max_n: int = 8) -> list[str]:
 
 def check_parent_child_box(max_entry: int = 6, max_len: int = 6) -> list[str]:
     """parent(children(y)) == y for every y with bounded entries and length."""
-    from itertools import product
-
     bad = []
     for k in range(1, max_len + 1):
         for y in product(range(max_entry + 1), repeat=k):
@@ -184,3 +187,73 @@ def check_parent_child_box(max_entry: int = 6, max_len: int = 6) -> list[str]:
                 if parent(child) != y:
                     bad.append(f"parent({child}) != {y}")
     return bad
+
+
+def cross_engine_paths(seed: int) -> Iterator[Heights]:
+    """Every path with n <= 5 and heights <= 5, then 60 random ones with n <= 9."""
+    for n in range(6):
+        yield from combinations_with_replacement(range(6), n)
+    rng = random.Random(seed)
+    for _ in range(60):
+        n = rng.randint(0, 9)
+        yield tuple(sorted(rng.randint(0, 40) for _ in range(n)))
+
+
+def check_cross_engine(seed: int = 0, theorem_cap: int = DEFAULT_THEOREM_CAP) -> tuple[list[str], str]:
+    """Every engine that answers must give the same count on each of :func:`cross_engine_paths`.
+
+    An engine over its cap is left out of the comparison, so unlike the other
+    checks this one also returns its pass summary, which names such engines.
+    """
+    bad, skipped = [], Counter()
+    paths = list(cross_engine_paths(seed))
+    for p in paths:
+        values = {}
+        for engine in ENGINES:
+            try:
+                values[engine] = count(p, engine, theorem_cap=theorem_cap)
+            except CapacityError:
+                skipped[engine] += 1
+        if len(set(values.values())) > 1:
+            bad.append(f"p={p}: {values}")
+    skips = ", ".join(f"{e} skipped {skipped[e]} paths over its cap" for e in ENGINES if skipped[e])
+    return bad, f"{len(paths)} paths agree across " + (
+        f"the engines that answered; {skips}" if skips else "all engines")
+
+
+def check_macmahon(bound: int = 5) -> list[str]:
+    """MacMahon's closed form against the path-by-path sum for n, m <= bound."""
+    bad = []
+    for n, m in product(range(bound + 1), repeat=2):
+        got, want = macmahon_bruteforce(n, m), macmahon_total(n, m)
+        if got != want:
+            bad.append(f"n={n} m={m}: brute force {got} != closed form {want}")
+    return bad
+
+
+def check_det_identity(max_n: int = 6, trials: int = 100, seed: int = 0) -> list[str]:
+    """The symbolic determinant identity at ``trials`` random points per n <= max_n."""
+    return [
+        f"determinant identity failed at n = {n}"
+        for n in range(max_n + 1)
+        if not verify_det_identity(n, trials, seed=seed * 31 + n)
+    ]
+
+
+# verify suite name -> check(seed, theorem_cap) -> (counterexamples, summary of a pass)
+CHECKS: dict[str, Callable[[int, int], tuple[list[str], str]]] = {
+    "cross-engine": check_cross_engine,
+    "macmahon": lambda seed, cap: (
+        check_macmahon(5), "aggregate matches the closed form for all endpoints up to (5, 5)"),
+    "lemma": lambda seed, cap: (
+        check_lemma(20) + check_telescoping(20), "9261 triples agree (both sides, closed form, telescoping)"),
+    "vandermonde": lambda seed, cap: (
+        check_vandermonde(20), "all d, e <= 20 with f <= e + 1 agree"),
+    "children": lambda seed, cap: (
+        check_children_partition(8) + check_parent_child_box(6, 6),
+        "children tile every polytope up to n = 8 and parent inverts them"),
+    "det-identity": lambda seed, cap: (
+        check_det_identity(6, 100, seed), "determinant equals the rising-factorial sum at 100 random points per n <= 6"),
+    "eq3": lambda seed, cap: (
+        check_eq3(6), "two-coordinate reduction agrees for all v1, v2, y <= 6"),
+}

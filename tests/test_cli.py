@@ -13,6 +13,7 @@ import pytest
 import pathcount
 from pathcount import cli
 from pathcount.counting import ENGINES, dp_oracle
+from pathcount.identities import CHECKS
 from pathcount.paths import parse_path_spec
 
 
@@ -22,6 +23,9 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pathcount.__file__)))
+
+
 def run_capped(*argv, limit=1 << 30):
     """Run the CLI in a child whose address space is capped at ``limit`` bytes."""
     resource = pytest.importorskip("resource")
@@ -29,11 +33,9 @@ def run_capped(*argv, limit=1 << 30):
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    src = os.path.dirname(os.path.dirname(pathcount.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run(
         [sys.executable, "-m", "pathcount.cli", *argv],
-        env=env, preexec_fn=cap, capture_output=True, text=True, timeout=120,
+        env=CHILD_ENV, preexec_fn=cap, capture_output=True, text=True, timeout=120,
     )
 
 
@@ -110,6 +112,14 @@ def test_count_theorem_cap_exit_3(capsys):
     code, _, err = run(capsys, "count", spec, "--engine", "theorem")
     assert code == 3
     assert "cap" in err
+
+
+def test_count_theorem_deep_walk_exit_3(capsys):
+    spec = "h:" + ",".join(str(i) for i in range(1, 1201))
+    code, out, err = run(capsys, "count", spec, "--engine", "theorem", "--theorem-cap", "5000")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: theorem engine capacity exceeded: 1200 nonzero differences")
 
 
 def test_count_all_skips_theorem_over_cap(capsys):
@@ -194,6 +204,27 @@ def test_enumerate_cap(capsys, monkeypatch):
     code, out, _ = run(capsys, "enumerate", "h:1,2,3", "--count-only")
     assert code == 0
     assert out == "14\n"
+
+
+def test_enumerate_and_probability_take_no_theorem_cap(capsys):
+    for argv in (["enumerate", "h:1"], ["probability", "h:1", "1", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--theorem-cap", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --theorem-cap 3" in capsys.readouterr().err
+
+
+def test_enumerate_closed_pipe_exits_quietly():
+    # 11 440 lines, ~180 KB: more than a pipe buffer, so the child is still writing
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pathcount.cli", "enumerate", "h:9,9,9,9,9,9,9"],
+        env=CHILD_ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"h:0,0,0,0,0,0,0\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert b"Traceback" not in err, err
 
 
 def test_enumerate_json(capsys):
@@ -292,6 +323,39 @@ def test_verify_json(capsys):
     record = json.loads(out)
     assert record["suite"] == "eq3"
     assert record["passed"] is True
+
+
+def test_verify_failure_path(capsys, monkeypatch):
+    counterexample = "a=1 b=2 c=3: lhs=0 rhs=1 closed=1"
+    monkeypatch.setitem(CHECKS, "lemma", lambda seed, cap: ([counterexample], "unused"))
+    code, out, _ = run(capsys, "verify", "all")
+    assert code == 1
+    lines = out.splitlines()
+    assert [line.partition(":")[0] for line in lines] == list(CHECKS)
+    for name, line in zip(CHECKS, lines):
+        if name == "lemma":
+            assert line == f"lemma: FAIL ({counterexample})"
+        else:
+            assert line.startswith(f"{name}: pass (")
+    code, out, _ = run(capsys, "verify", "all", "--format", "json")
+    assert code == 1
+    records = {r["suite"]: r for r in map(json.loads, out.splitlines())}
+    assert list(records) == list(CHECKS)
+    assert records["lemma"] == {"suite": "lemma", "passed": False, "detail": counterexample}
+    assert all(r["passed"] for name, r in records.items() if name != "lemma")
+
+
+def test_verify_all_under_optimize():
+    # a python -O child strips asserts; every suite in the registry must still run and pass
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pathcount.cli", "verify", "all", "--format", "json"],
+        env=CHILD_ENV, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    records = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(records) == 7
+    assert [r["suite"] for r in records] == list(CHECKS)
+    assert all(r["passed"] is True for r in records)
 
 
 def test_probability_staircase(capsys):

@@ -28,7 +28,7 @@ from pathcount.counting import (
     macmahon_total,
     monomial_oracle,
 )
-from pathcount.exactmath import binom, catalan
+from pathcount.exactmath import binom, catalan, det_int
 from pathcount.paths import delta, in_polytope, is_restricted_by, sigma
 
 
@@ -232,6 +232,21 @@ def test_theorem_long_zero_runs():
     assert count_theorem((0,) * 1200, cap=5000) == 1
     p = (0,) * 600 + (5,) * 3 + (6,) * 600
     assert count_theorem(p, cap=5000) == dp_oracle(p) == 69126091837236
+
+
+def test_theorem_deep_walk_refused():
+    # 1200 nonzero differences: the walk would recurse past the interpreter's limit
+    with pytest.raises(CapacityError, match="theorem engine capacity exceeded: 1200 nonzero"):
+        count_theorem(tuple(range(1, 1201)), cap=5000)
+
+
+def test_determinant_matrix_skips_zero_entries():
+    # rows are built from the subdiagonal on; the full binomial matrix has the same determinant
+    rng = random.Random(41)
+    for _ in range(30):
+        p = tuple(sorted(rng.randint(0, 12) for _ in range(rng.randint(0, 10))))
+        full = [[binom(p[i] + 1, j - i + 1) for j in range(len(p))] for i in range(len(p))]
+        assert count_determinant(p) == det_int(full) == dp_oracle(p)
 
 
 def test_dp_oracle_examples():
