@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: count, enumerate, symbolic, verify, probability, bench.
+Subcommands: count, enumerate, symbolic, verify, probability.
 Exit codes: 0 success, 1 failed check/disagreement, 2 usage or parse error,
 3 capacity exceeded.
 """
@@ -10,9 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
-import time
 from fractions import Fraction
 
 from .counting import DEFAULT_THEOREM_CAP, ENGINES, CapacityError, count, enumerate_restricted
@@ -27,7 +25,6 @@ EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 
 ENUMERATE_CAP = 100_000
-BENCH_SIZES = (20, 50, 100, 200)
 
 
 class UsageError(Exception):
@@ -156,36 +153,6 @@ def cmd_probability(args) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args) -> int:
-    rng = random.Random(args.seed)
-    rows = []
-    for n in BENCH_SIZES:
-        p = tuple(sorted(rng.randint(0, n) for _ in range(n)))
-        for engine in ENGINES:
-            start = time.perf_counter()
-            try:
-                value = count(p, engine, theorem_cap=args.theorem_cap)
-            except CapacityError as exc:
-                rows.append({"n": n, "engine": engine, "status": f"refused ({_refusal(exc)})"})
-                continue
-            elapsed = time.perf_counter() - start
-            rows.append(
-                {"n": n, "engine": engine, "seconds": round(elapsed, 6), "result_bits": value.bit_length()}
-            )
-    if args.format == "json":
-        print(json.dumps(rows))
-    else:
-        for row in rows:
-            if "status" in row:
-                print(f"n={row['n']:>4}  {row['engine']:<12} {row['status']}")
-            else:
-                print(
-                    f"n={row['n']:>4}  {row['engine']:<12} {row['seconds']:>10.4f}s"
-                    f"  {row['result_bits']} bits"
-                )
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pathcount",
@@ -230,10 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("m", type=int)
     add_common(sp, theorem_cap=False)
     sp.set_defaults(func=cmd_probability)
-
-    sp = sub.add_parser("bench", help="time every engine on random paths")
-    add_common(sp, seed=True)
-    sp.set_defaults(func=cmd_bench)
 
     return parser
 

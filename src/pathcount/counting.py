@@ -10,19 +10,20 @@ Five independent engines compute it:
 * ``triangular``  - banded forward substitution through the triangular
   system behind that determinant, stepping each live binomial in place;
 * ``theorem``     - sum of binomial products over the lattice points of the
-  all-ones polytope (capacity-capped: the term count is a Catalan number);
+  all-ones polytope, grouped by slack into a forward table of O(n^2)
+  states (capped at n and at ``THEOREM_BUDGET`` products);
 * ``dp``          - column-by-column dynamic program directly over admissible
   heights, kept deliberately naive as the oracle the others are checked
   against.
 
 All engines agree on every input; the test suite and the ``verify`` CLI
 subcommand enforce this.  ``dp`` and ``recurrence`` refuse, through
-``CapacityError``, a path whose longest column would pass ``MAX_COLUMN``.
+``CapacityError``, a path whose longest column would pass ``MAX_COLUMN``;
+``theorem`` refuses n over its cap and a table over ``THEOREM_BUDGET``.
 """
 
 from __future__ import annotations
 
-import sys
 from itertools import accumulate, combinations_with_replacement, product
 from math import comb, prod
 from typing import Iterator
@@ -35,6 +36,8 @@ DEFAULT_MONOMIAL_CAP = 10**6
 # longest column, in integers, that the dp and recurrence engines may build;
 # two such columns of big integers stay within a few hundred megabytes
 MAX_COLUMN = 10**7
+# most binomial products the theorem engine's slack table may make
+THEOREM_BUDGET = 5 * 10**6
 
 
 class CapacityError(Exception):
@@ -132,42 +135,39 @@ def count_triangular(p: Heights) -> int:
 def count_theorem(p: Heights, cap: int = DEFAULT_THEOREM_CAP) -> int:
     """Sum binomial products over the lattice points of the all-ones polytope.
 
-    With v the difference vector of ``p``, the count is the sum over the
-    C_{n+1} lattice points x of prod_i binom(v_{n+1-i} + x_i - 1, x_i), the
+    With v the difference vector of ``p`` and w = reversed(v), the count is the
+    sum over the C_{n+1} lattice points x of prod_i binom(w_i + x_i - 1, x_i), the
     binomials taken with the extended convention of :func:`~pathcount.exactmath.binom`
-    so that a zero v entry forces x_i = 0.  The depth-first walk shares
-    partial products along common prefixes.  It steps over zero entries in a
-    loop (factor 1, one more unit of slack), so every factor it branches on
-    is positive and the recursion is only as deep as ``v`` has nonzero
-    entries.  Refuses n > cap since the term count grows like C_{n+1}, and
-    refuses, as over capacity too, a walk deeper than the interpreter's
-    recursion limit.
+    so that a zero w_i forces x_i = 0.  A prefix x_1..x_i leaves slack
+    s = i - (x_1 + ... + x_i) and x_(i+1) ranges over 0..s + 1, so the points
+    are summed as a forward table: ``weight[s]`` is the total partial product of
+    the prefixes that leave slack s.  Position i (from 0) makes (i + 1)(i + 4)/2
+    products when w_i > 0 and none otherwise.  Refuses n > cap, which keeps the
+    default ``count --engine all`` to short paths, and a path whose products
+    would pass ``THEOREM_BUDGET``.
     """
     n = len(p)
     if n > cap:
         raise CapacityError(f"theorem engine capacity exceeded: n = {n} is over the cap {cap}")
-    w = tuple(reversed(delta(p)))  # w[i] feeds the binomial at position i of each point
-
-    def walk(i: int, slack: int, partial: int) -> int:
-        while i < n and not w[i]:  # a zero entry forces x_i = 0: factor 1, one more slack
-            i += 1
-            slack += 1
-        if i == n:
-            return partial
-        total = 0
-        m = w[i] - 1  # w[i] >= 1 here, so every factor comb(m + x, x) is positive
-        for x in range(slack + 2):
-            total += walk(i + 1, slack + 1 - x, partial * comb(m + x, x))
-        return total
-
-    try:
-        return walk(0, 0, 1)
-    except RecursionError:
-        depth = sum(1 for x in w if x)
+    w = tuple(reversed(delta(p)))
+    work = sum((i + 1) * (i + 4) // 2 for i, x in enumerate(w) if x)
+    if work > THEOREM_BUDGET:
         raise CapacityError(
-            f"theorem engine capacity exceeded: {depth} nonzero differences is deeper than "
-            f"the recursion limit {sys.getrecursionlimit()}"
-        ) from None
+            f"theorem engine capacity exceeded: {sum(map(bool, w))} nonzero differences need "
+            f"{work} products, over the budget {THEOREM_BUDGET}"
+        )
+    weight = [1]  # weight[s]: summed partial products of the prefixes leaving slack s
+    for x in w:
+        if not x:  # x_i = 0 is forced: factor 1, one more unit of slack
+            weight.insert(0, 0)
+            continue
+        c = [comb(x - 1 + k, k) for k in range(len(weight) + 1)]
+        nxt = [0] * (len(weight) + 1)
+        for s, ws in enumerate(weight):
+            for k in range(s + 2):
+                nxt[s + 1 - k] += ws * c[k]
+        weight = nxt
+    return sum(weight)
 
 
 def dp_oracle(p: Heights) -> int:

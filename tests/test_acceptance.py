@@ -178,8 +178,8 @@ def test_c12_performance_soft_bounds():
     assert t_tri < 10.0, f"triangular n=100 took {t_tri:.2f}s"
     assert d == t
 
-    # strictly increasing heights leave no zero factors, so nothing prunes:
-    # the walk really visits all C_13 = 742900 lattice points
+    # strictly increasing heights leave no zero differences: the theorem's sum
+    # over C_13 = 742900 lattice points fills every slack of its table
     p12 = tuple(range(1, 13))
     start = time.perf_counter()
     count_theorem(p12)

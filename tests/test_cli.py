@@ -138,6 +138,25 @@ def test_count_theorem_long_zero_run(capsys):
     assert out == "1\n"
 
 
+def test_count_theorem_over_budget_exit_3_in_a_child():
+    # C_901 points under a raised cap: the work budget refuses before any table is built
+    spec = "h:" + ",".join(str(i) for i in range(1, 901))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pathcount.cli", "count", spec, "--engine", "theorem", "--theorem-cap", "5000"],
+        env=CHILD_ENV, capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: theorem engine capacity exceeded: 900 nonzero differences")
+
+
+def test_bench_subcommand_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bench"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
 def test_count_all_tall_path_bounded_memory():
     proc = run_capped("count", "d:1000000000")
     assert proc.returncode == 0, proc.stderr
@@ -403,23 +422,3 @@ def test_probability_json(capsys):
     assert record["probability"] == "1/3"
     assert record["favorable"] == "2"
     assert record["total"] == "6"
-
-
-def test_bench_small_sizes(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "BENCH_SIZES", (5, 20))
-    code, out, _ = run(capsys, "bench", "--format", "json", "--seed", "3")
-    assert code == 0
-    rows = json.loads(out)
-    timed = [r for r in rows if "seconds" in r]
-    refused = [r for r in rows if "status" in r]
-    assert {r["engine"] for r in timed} == set(ENGINES)
-    # n=5 is under the cap so theorem runs there; n=20 must be refused
-    assert any(r["engine"] == "theorem" and r["n"] == 20 for r in refused)
-    assert any(r["engine"] == "theorem" and r["n"] == 5 for r in timed)
-
-
-def test_bench_plain_output(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "BENCH_SIZES", (5,))
-    code, out, _ = run(capsys, "bench")
-    assert code == 0
-    assert "determinant" in out and "bits" in out

@@ -209,6 +209,30 @@ def test_triangular_short_tall_paths():
     assert count_triangular(p) == binom(10**30 + 40, 40)
 
 
+def theorem_walk(p):
+    """Reference oracle for n <= 8: the theorem's sum, walked point by point.
+
+    Recurses once per coordinate of the all-ones polytope, carrying the slack
+    i - (x_1 + ... + x_i) and the partial product of the binomials so far.
+    """
+    w = tuple(reversed(delta(p)))
+
+    def walk(i, slack, partial):
+        if i == len(w):
+            return partial
+        if not w[i]:  # a zero entry forces x_i = 0: factor 1, one more slack
+            return walk(i + 1, slack + 1, partial)
+        return sum(walk(i + 1, slack + 1 - x, partial * binom(w[i] - 1 + x, x)) for x in range(slack + 2))
+
+    return walk(0, 0, 1)
+
+
+# sorted heights of at most 30 steps: runs of zeros and of heights up to 10^20
+tall_runs_st = st.lists(
+    st.tuples(st.just(0) | st.integers(0, 10**20), st.integers(1, 8)), max_size=10
+).map(lambda runs: tuple(sorted([h for h, k in runs for _ in range(k)][:30])))
+
+
 def test_theorem_examples():
     assert count_theorem(()) == 1
     for n in range(1, 8):
@@ -228,16 +252,52 @@ def test_theorem_cap():
 
 
 def test_theorem_long_zero_runs():
-    # zero differences force x_i = 0, so the walk steps over them without recursing
+    # zero differences force x_i = 0 and make no products: only the two nonzero ones fill the table
     assert count_theorem((0,) * 1200, cap=5000) == 1
     p = (0,) * 600 + (5,) * 3 + (6,) * 600
     assert count_theorem(p, cap=5000) == dp_oracle(p) == 69126091837236
 
 
 def test_theorem_deep_walk_refused():
-    # 1200 nonzero differences: the walk would recurse past the interpreter's limit
+    # 1200 nonzero differences: their table would pass THEOREM_BUDGET, so it is refused unbuilt
     with pytest.raises(CapacityError, match="theorem engine capacity exceeded: 1200 nonzero"):
         count_theorem(tuple(range(1, 1201)), cap=5000)
+
+
+def test_theorem_table_matches_walk_exhaustively():
+    for n in range(7):
+        for p in nondecreasing_tuples(n, 6):
+            assert count_theorem(p) == theorem_walk(p), p
+
+
+def test_theorem_table_matches_walk_on_random_paths():
+    rng = random.Random(42)
+    for _ in range(200):
+        n = rng.randint(0, 8)
+        top = rng.choice((3, 20, 10**6))
+        p = tuple(sorted(rng.randint(0, top) for _ in range(n)))
+        assert count_theorem(p) == theorem_walk(p), p
+
+
+@given(tall_runs_st)
+def test_theorem_matches_triangular(p):
+    assert count_theorem(p, cap=30) == count_triangular(p)
+
+
+def test_theorem_budget_boundary(monkeypatch):
+    # reversed differences (1, 1, 1, 1): (i + 1)(i + 4)/2 products at i = 0..3, 2 + 5 + 9 + 14 = 30
+    p = (1, 2, 3, 4)
+    monkeypatch.setattr(counting, "THEOREM_BUDGET", 30)
+    assert count_theorem(p) == catalan(5)
+    monkeypatch.setattr(counting, "THEOREM_BUDGET", 29)
+    with pytest.raises(CapacityError, match=r"4 nonzero differences need 30 products, over the budget 29$"):
+        count_theorem(p)
+    # zero differences cost nothing: (1, 1, 2, 2) has reversed differences (0, 1, 0, 1), 5 + 14 products
+    monkeypatch.setattr(counting, "THEOREM_BUDGET", 19)
+    assert count_theorem((1, 1, 2, 2)) == dp_oracle((1, 1, 2, 2))
+    monkeypatch.setattr(counting, "THEOREM_BUDGET", 18)
+    with pytest.raises(CapacityError, match=r"2 nonzero differences need 19 products, over the budget 18$"):
+        count_theorem((1, 1, 2, 2))
 
 
 def test_determinant_matrix_skips_zero_entries():
