@@ -13,7 +13,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .counting import DEFAULT_THEOREM_CAP, ENGINES, CapacityError, count, enumerate_restricted
+from .counting import ENGINES, CapacityError, count, enumerate_restricted
 from .exactmath import binom
 from .identities import CHECKS
 from .paths import Heights, format_heights, parse_path_spec
@@ -56,7 +56,7 @@ def cmd_count(args) -> int:
     results = {}
     for engine in engines:
         try:
-            results[engine] = count(p, engine, theorem_cap=args.theorem_cap)
+            results[engine] = count(p, engine)
         except CapacityError as exc:
             if args.engine != "all":
                 raise
@@ -93,7 +93,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_symbolic(args) -> int:
-    poly = symbolic_lp(args.n, cap=args.theorem_cap)
+    poly = symbolic_lp(args.n)
     if args.count_terms:
         print(len(poly.terms))
         return EXIT_OK
@@ -122,7 +122,7 @@ def cmd_verify(args) -> int:
         )
     all_passed = True
     for name in names:
-        bad, summary = CHECKS[name](args.seed, args.theorem_cap)
+        bad, summary = CHECKS[name](args.seed)
         all_passed = all_passed and not bad
         detail = bad[0] if bad else summary
         if args.format == "json":
@@ -160,12 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, theorem_cap=True, seed=False):
+    def add_common(sp):
         sp.add_argument("--format", choices=("plain", "json"), default="plain")
-        if theorem_cap:
-            sp.add_argument("--theorem-cap", type=nonnegative_int, default=DEFAULT_THEOREM_CAP, dest="theorem_cap")
-        if seed:
-            sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("count", help="count paths below a path spec (w:/h:/d:)")
     sp.add_argument("path")
@@ -176,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("enumerate", help="list every path below a path spec")
     sp.add_argument("path")
     sp.add_argument("--count-only", action="store_true", dest="count_only")
-    add_common(sp, theorem_cap=False)
+    add_common(sp)
     sp.set_defaults(func=cmd_enumerate)
 
     sp = sub.add_parser("symbolic", help="rising-factorial count polynomial in n variables")
@@ -188,14 +184,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run the consistency suites")
     sp.add_argument("suite", nargs="?", default="all")
-    add_common(sp, seed=True)
+    add_common(sp)
+    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("probability", help="chance a uniform path to (n, m) stays below the given path")
     sp.add_argument("path")
     sp.add_argument("n", type=int)
     sp.add_argument("m", type=int)
-    add_common(sp, theorem_cap=False)
+    add_common(sp)
     sp.set_defaults(func=cmd_probability)
 
     return parser

@@ -11,7 +11,7 @@ Five independent engines compute it:
   system behind that determinant, stepping each live binomial in place;
 * ``theorem``     - sum of binomial products over the lattice points of the
   all-ones polytope, grouped by slack into a forward table of O(n^2)
-  states (capped at n and at ``THEOREM_BUDGET`` products);
+  states (n capped at ``THEOREM_CAP``);
 * ``dp``          - column-by-column dynamic program directly over admissible
   heights, kept deliberately naive as the oracle the others are checked
   against.
@@ -19,7 +19,7 @@ Five independent engines compute it:
 All engines agree on every input; the test suite and the ``verify`` CLI
 subcommand enforce this.  ``dp`` and ``recurrence`` refuse, through
 ``CapacityError``, a path whose longest column would pass ``MAX_COLUMN``;
-``theorem`` refuses n over its cap and a table over ``THEOREM_BUDGET``.
+``theorem`` refuses n over ``THEOREM_CAP``.
 """
 
 from __future__ import annotations
@@ -31,13 +31,12 @@ from typing import Iterator
 from .exactmath import det_int, factorial
 from .paths import Diffs, Heights, Point, delta, sigma, validate_diffs, validate_heights
 
-DEFAULT_THEOREM_CAP = 14
+# longest path the theorem engine takes; its table then makes at most 665 binomial products
+THEOREM_CAP = 14
 DEFAULT_MONOMIAL_CAP = 10**6
 # longest column, in integers, that the dp and recurrence engines may build;
 # two such columns of big integers stay within a few hundred megabytes
 MAX_COLUMN = 10**7
-# most binomial products the theorem engine's slack table may make
-THEOREM_BUDGET = 5 * 10**6
 
 
 class CapacityError(Exception):
@@ -132,7 +131,7 @@ def count_triangular(p: Heights) -> int:
     return lp
 
 
-def count_theorem(p: Heights, cap: int = DEFAULT_THEOREM_CAP) -> int:
+def count_theorem(p: Heights) -> int:
     """Sum binomial products over the lattice points of the all-ones polytope.
 
     With v the difference vector of ``p`` and w = reversed(v), the count is the
@@ -142,20 +141,13 @@ def count_theorem(p: Heights, cap: int = DEFAULT_THEOREM_CAP) -> int:
     s = i - (x_1 + ... + x_i) and x_(i+1) ranges over 0..s + 1, so the points
     are summed as a forward table: ``weight[s]`` is the total partial product of
     the prefixes that leave slack s.  Position i (from 0) makes (i + 1)(i + 4)/2
-    products when w_i > 0 and none otherwise.  Refuses n > cap, which keeps the
-    default ``count --engine all`` to short paths, and a path whose products
-    would pass ``THEOREM_BUDGET``.
+    products when w_i > 0 and none otherwise.  Refuses n > ``THEOREM_CAP``,
+    which keeps the default ``count --engine all`` to short paths.
     """
     n = len(p)
-    if n > cap:
-        raise CapacityError(f"theorem engine capacity exceeded: n = {n} is over the cap {cap}")
+    if n > THEOREM_CAP:
+        raise CapacityError(f"theorem engine capacity exceeded: n = {n} is over the cap {THEOREM_CAP}")
     w = tuple(reversed(delta(p)))
-    work = sum((i + 1) * (i + 4) // 2 for i, x in enumerate(w) if x)
-    if work > THEOREM_BUDGET:
-        raise CapacityError(
-            f"theorem engine capacity exceeded: {sum(map(bool, w))} nonzero differences need "
-            f"{work} products, over the budget {THEOREM_BUDGET}"
-        )
     weight = [1]  # weight[s]: summed partial products of the prefixes leaving slack s
     for x in w:
         if not x:  # x_i = 0 is forced: factor 1, one more unit of slack
@@ -248,33 +240,33 @@ def _column_refusal(engine: str, length: int) -> CapacityError:
     )
 
 
-def _recurrence_kernel(p: Heights, cap: int) -> int:
+def _recurrence_kernel(p: Heights) -> int:
     if len(p) > 1 and p[-2] >= MAX_COLUMN:  # its longest column has p_(n-1) + 1 entries
         raise _column_refusal("recurrence", p[-2] + 1)
     return count_recurrence(delta(p))
 
 
-def _dp_kernel(p: Heights, cap: int) -> int:
+def _dp_kernel(p: Heights) -> int:
     if p and p[-1] >= MAX_COLUMN:  # its last column holds heights 0..p_n
         raise _column_refusal("dp", p[-1] + 1)
     return dp_oracle(p)
 
 
-# engine name -> kernel(heights, theorem_cap); a kernel over its cap raises CapacityError
+# engine name -> kernel(heights); a kernel over its cap raises CapacityError
 _KERNELS = {
     "recurrence": _recurrence_kernel,
-    "determinant": lambda p, cap: count_determinant(p),
-    "triangular": lambda p, cap: count_triangular(p),
+    "determinant": count_determinant,
+    "triangular": count_triangular,
     "theorem": count_theorem,
     "dp": _dp_kernel,
 }
 ENGINES = tuple(_KERNELS)
 
 
-def count(p: Heights, engine: str, theorem_cap: int = DEFAULT_THEOREM_CAP) -> int:
+def count(p: Heights, engine: str) -> int:
     """Count paths restricted by ``p`` with the named engine."""
     p = validate_heights(p)
     kernel = _KERNELS.get(engine)
     if kernel is None:
         raise ValueError(f"unknown engine {engine!r}; expected one of: {', '.join(ENGINES)}")
-    return kernel(p, theorem_cap)
+    return kernel(p)

@@ -12,20 +12,11 @@ determinant-identity ones, as the suites of ``pathcount verify``.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from typing import Callable, Iterator
 
-from .counting import (
-    DEFAULT_THEOREM_CAP,
-    ENGINES,
-    CapacityError,
-    count,
-    enumerate_polytope,
-    macmahon_bruteforce,
-    macmahon_total,
-)
+from .counting import ENGINES, count, enumerate_polytope, macmahon_bruteforce, macmahon_total
 from .exactmath import binom
 from .paths import Heights, Point
 from .symbolic import verify_det_identity
@@ -199,26 +190,18 @@ def cross_engine_paths(seed: int) -> Iterator[Heights]:
         yield tuple(sorted(rng.randint(0, 40) for _ in range(n)))
 
 
-def check_cross_engine(seed: int = 0, theorem_cap: int = DEFAULT_THEOREM_CAP) -> tuple[list[str], str]:
-    """Every engine that answers must give the same count on each of :func:`cross_engine_paths`.
+def check_cross_engine(seed: int = 0) -> list[str]:
+    """All five engines must give the same count on each of :func:`cross_engine_paths`.
 
-    An engine over its cap is left out of the comparison, so unlike the other
-    checks this one also returns its pass summary, which names such engines.
+    Those paths have n <= 9 and heights <= 40, inside every engine's cap, so
+    no engine refuses one.
     """
-    bad, skipped = [], Counter()
-    paths = list(cross_engine_paths(seed))
-    for p in paths:
-        values = {}
-        for engine in ENGINES:
-            try:
-                values[engine] = count(p, engine, theorem_cap=theorem_cap)
-            except CapacityError:
-                skipped[engine] += 1
+    bad = []
+    for p in cross_engine_paths(seed):
+        values = {engine: count(p, engine) for engine in ENGINES}
         if len(set(values.values())) > 1:
             bad.append(f"p={p}: {values}")
-    skips = ", ".join(f"{e} skipped {skipped[e]} paths over its cap" for e in ENGINES if skipped[e])
-    return bad, f"{len(paths)} paths agree across " + (
-        f"the engines that answered; {skips}" if skips else "all engines")
+    return bad
 
 
 def check_macmahon(bound: int = 5) -> list[str]:
@@ -240,20 +223,21 @@ def check_det_identity(max_n: int = 6, trials: int = 100, seed: int = 0) -> list
     ]
 
 
-# verify suite name -> check(seed, theorem_cap) -> (counterexamples, summary of a pass)
-CHECKS: dict[str, Callable[[int, int], tuple[list[str], str]]] = {
-    "cross-engine": check_cross_engine,
-    "macmahon": lambda seed, cap: (
+# verify suite name -> check(seed) -> (counterexamples, summary of a pass)
+CHECKS: dict[str, Callable[[int], tuple[list[str], str]]] = {
+    "cross-engine": lambda seed: (
+        check_cross_engine(seed), f"{len(list(cross_engine_paths(seed)))} paths agree across all engines"),
+    "macmahon": lambda seed: (
         check_macmahon(5), "aggregate matches the closed form for all endpoints up to (5, 5)"),
-    "lemma": lambda seed, cap: (
+    "lemma": lambda seed: (
         check_lemma(20) + check_telescoping(20), "9261 triples agree (both sides, closed form, telescoping)"),
-    "vandermonde": lambda seed, cap: (
+    "vandermonde": lambda seed: (
         check_vandermonde(20), "all d, e <= 20 with f <= e + 1 agree"),
-    "children": lambda seed, cap: (
+    "children": lambda seed: (
         check_children_partition(8) + check_parent_child_box(6, 6),
         "children tile every polytope up to n = 8 and parent inverts them"),
-    "det-identity": lambda seed, cap: (
+    "det-identity": lambda seed: (
         check_det_identity(6, 100, seed), "determinant equals the rising-factorial sum at 100 random points per n <= 6"),
-    "eq3": lambda seed, cap: (
+    "eq3": lambda seed: (
         check_eq3(6), "two-coordinate reduction agrees for all v1, v2, y <= 6"),
 }

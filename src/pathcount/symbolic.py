@@ -17,9 +17,12 @@ from fractions import Fraction
 from itertools import product
 from math import prod
 
-from .counting import DEFAULT_THEOREM_CAP, CapacityError, count_determinant, enumerate_polytope
+from .counting import CapacityError, count_determinant, enumerate_polytope
 from .exactmath import catalan, factorial, rising_factorial
 from .paths import Diffs, sigma
+
+# largest n that symbolic_lp expands: C_13 = 742 900 stored terms, about 300 MB
+SYMBOLIC_CAP = 12
 
 __all__ = [
     "MonomialPolynomial",
@@ -66,16 +69,17 @@ class MonomialPolynomial:
     nvars: int
 
 
-def symbolic_lp(n: int, cap: int = DEFAULT_THEOREM_CAP) -> RFPolynomial:
+def symbolic_lp(n: int) -> RFPolynomial:
     """The count below a length-n path as a rising-factorial polynomial.
 
     One term per lattice point x of the all-ones polytope, coefficient
-    prod_i 1/x_i!; the term count is the Catalan number C_{n+1}.
+    prod_i 1/x_i!; the term count is the Catalan number C_{n+1}.  Refuses
+    n > ``SYMBOLIC_CAP`` before building any term.
     """
     if n < 0:
         raise ValueError(f"variable count {n} is negative")
-    if n > cap:
-        raise CapacityError(f"symbolic expansion capacity exceeded: n = {n} is over the cap {cap}")
+    if n > SYMBOLIC_CAP:
+        raise CapacityError(f"symbolic expansion capacity exceeded: n = {n} is over the cap {SYMBOLIC_CAP}")
     terms = []
     for x in enumerate_polytope((1,) * n):
         coeff = Fraction(1, prod(factorial(e) for e in x))

@@ -12,7 +12,6 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 from pathcount.counting import (
-    DEFAULT_THEOREM_CAP,
     ENGINES,
     count,
     count_determinant,
@@ -35,10 +34,10 @@ def test_c01_cross_engine_equality_exhaustive():
     paths = list(cross_engine_paths(0))
     assert set(paths) >= {p for n in range(6) for p in combinations_with_replacement(range(6), n)}
     start = time.perf_counter()
-    bad, summary = CHECKS["cross-engine"](0, DEFAULT_THEOREM_CAP)
+    bad, summary = CHECKS["cross-engine"](0)
     elapsed = time.perf_counter() - start
     assert bad == []
-    # a refusal would name the engine in the summary instead of "all engines"
+    # every engine answers every path of the suite
     assert summary == f"{len(paths)} paths agree across all engines"
     assert elapsed < 30.0, f"cross-engine sweep took {elapsed:.1f}s"
     print(f"[C01] PASS cross-engine equality on {len(paths)} paths (n <= 5, p_i <= 5, 60 random) in {elapsed:.1f}s")
@@ -79,7 +78,7 @@ def test_c05_macmahon_aggregate():
     # convention (fixed by matching n = m = 1 and 2): the aggregate runs over
     # all nondecreasing height tuples bounded by m, each counted with free
     # terminal height, which for paths to (n, m) is also the fixed-endpoint count
-    assert CHECKS["macmahon"](0, DEFAULT_THEOREM_CAP)[0] == []
+    assert CHECKS["macmahon"](0)[0] == []
     print("[C05] PASS MacMahon aggregate matches brute-force sum for n, m <= 5")
 
 
@@ -139,14 +138,14 @@ def test_c08_symbolic_determinant_identity():
 
 def test_c09_lemma_suite():
     # the lemma row checks both sides and the telescoped form against the closed form
-    assert CHECKS["lemma"](0, DEFAULT_THEOREM_CAP)[0] == []
-    assert CHECKS["vandermonde"](0, DEFAULT_THEOREM_CAP)[0] == []
+    assert CHECKS["lemma"](0)[0] == []
+    assert CHECKS["vandermonde"](0)[0] == []
     print("[C09] PASS lemma, generalized Vandermonde and telescoping identities (bounds 20)")
 
 
 def test_c10_children_parent_partition():
     # the children row runs check_children_partition(8) and the parent/child box
-    assert CHECKS["children"](0, DEFAULT_THEOREM_CAP)[0] == []
+    assert CHECKS["children"](0)[0] == []
     print("[C10] PASS children partition the all-ones polytopes up to n = 8, parent inverts")
 
 

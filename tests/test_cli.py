@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import sys
 import pytest
 
 import pathcount
-from pathcount import cli
+from pathcount import cli, symbolic
 from pathcount.counting import ENGINES, dp_oracle
 from pathcount.identities import CHECKS
 from pathcount.paths import parse_path_spec
@@ -116,10 +117,10 @@ def test_count_theorem_cap_exit_3(capsys):
 
 def test_count_theorem_deep_walk_exit_3(capsys):
     spec = "h:" + ",".join(str(i) for i in range(1, 1201))
-    code, out, err = run(capsys, "count", spec, "--engine", "theorem", "--theorem-cap", "5000")
+    code, out, err = run(capsys, "count", spec, "--engine", "theorem")
     assert code == 3
     assert out == ""
-    assert err.startswith("error: theorem engine capacity exceeded: 1200 nonzero differences")
+    assert err == "error: theorem engine capacity exceeded: n = 1200 is over the cap 14\n"
 
 
 def test_count_all_skips_theorem_over_cap(capsys):
@@ -131,23 +132,16 @@ def test_count_all_skips_theorem_over_cap(capsys):
     assert "skipped" in err
 
 
-def test_count_theorem_long_zero_run(capsys):
-    spec = "h:" + ",".join("0" * 1200)
-    code, out, _ = run(capsys, "count", spec, "--engine", "theorem", "--theorem-cap", "5000")
-    assert code == 0
-    assert out == "1\n"
-
-
 def test_count_theorem_over_budget_exit_3_in_a_child():
-    # C_901 points under a raised cap: the work budget refuses before any table is built
+    # C_901 points: the fixed cap refuses before any table is built
     spec = "h:" + ",".join(str(i) for i in range(1, 901))
     proc = subprocess.run(
-        [sys.executable, "-m", "pathcount.cli", "count", spec, "--engine", "theorem", "--theorem-cap", "5000"],
+        [sys.executable, "-m", "pathcount.cli", "count", spec, "--engine", "theorem"],
         env=CHILD_ENV, capture_output=True, text=True, timeout=30,
     )
     assert proc.returncode == 3
     assert proc.stdout == ""
-    assert proc.stderr.startswith("error: theorem engine capacity exceeded: 900 nonzero differences")
+    assert proc.stderr == "error: theorem engine capacity exceeded: n = 900 is over the cap 14\n"
 
 
 def test_bench_subcommand_is_gone(capsys):
@@ -225,8 +219,28 @@ def test_enumerate_cap(capsys, monkeypatch):
     assert out == "14\n"
 
 
-def test_enumerate_and_probability_take_no_theorem_cap(capsys):
-    for argv in (["enumerate", "h:1"], ["probability", "h:1", "1", "1"]):
+# every option each subcommand takes, besides --help; a new one must be added here on purpose
+OPTIONS = {
+    "count": {"--engine", "--format"},
+    "enumerate": {"--count-only", "--format"},
+    "symbolic": {"--expand", "--count-terms", "--format"},
+    "verify": {"--format", "--seed"},
+    "probability": {"--format"},
+}
+
+
+def test_subcommand_option_inventory(capsys):
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    got = {
+        name: {o for a in sp._actions for o in a.option_strings} - {"-h", "--help"}
+        for name, sp in sub.choices.items()
+    }
+    assert got == OPTIONS
+    argvs = (["count", "h:1"], ["enumerate", "h:1"], ["symbolic", "1"], ["verify", "eq3"],
+             ["probability", "h:1", "1", "1"])
+    assert [argv[0] for argv in argvs] == list(OPTIONS)
+    for argv in argvs:
         with pytest.raises(SystemExit) as exc:
             cli.main([*argv, "--theorem-cap", "3"])
         assert exc.value.code == 2
@@ -281,24 +295,19 @@ def test_symbolic_json(capsys):
     assert {"coeff": "1/2", "exponents": [0, 2]} in record["terms"]
 
 
-def test_symbolic_cap_exit_3(capsys):
-    code, _, err = run(capsys, "symbolic", "15")
-    assert code == 3
-    assert "cap" in err
-    code, _, _ = run(capsys, "symbolic", "4", "--theorem-cap", "3")
-    assert code == 3
+def test_symbolic_cap_exit_3(capsys, monkeypatch):
+    # refused before a single term is built
+    monkeypatch.setattr(symbolic, "enumerate_polytope", None)
+    for n in (13, 15):
+        code, out, err = run(capsys, "symbolic", str(n))
+        assert code == 3
+        assert out == ""
+        assert err == f"error: symbolic expansion capacity exceeded: n = {n} is over the cap 12\n"
 
 
 def test_symbolic_negative_n_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["symbolic", "-1"])
-    assert exc.value.code == 2
-    assert "negative" in capsys.readouterr().err
-
-
-def test_negative_theorem_cap_exit_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["count", "h:1,2,3", "--theorem-cap", "-5"])
     assert exc.value.code == 2
     assert "negative" in capsys.readouterr().err
 
@@ -314,13 +323,6 @@ def test_verify_children_suite(capsys):
     code, out, _ = run(capsys, "verify", "children")
     assert code == 0
     assert "pass" in out
-
-
-def test_verify_cross_engine_under_theorem_cap(capsys):
-    code, out, _ = run(capsys, "verify", "cross-engine", "--theorem-cap", "3")
-    assert code == 0
-    assert out.startswith("cross-engine: pass")
-    assert "theorem skipped" in out
 
 
 def test_verify_unknown_suite(capsys):
@@ -346,7 +348,7 @@ def test_verify_json(capsys):
 
 def test_verify_failure_path(capsys, monkeypatch):
     counterexample = "a=1 b=2 c=3: lhs=0 rhs=1 closed=1"
-    monkeypatch.setitem(CHECKS, "lemma", lambda seed, cap: ([counterexample], "unused"))
+    monkeypatch.setitem(CHECKS, "lemma", lambda seed: ([counterexample], "unused"))
     code, out, _ = run(capsys, "verify", "all")
     assert code == 1
     lines = out.splitlines()

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 from itertools import combinations_with_replacement, product
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -246,22 +247,26 @@ def test_theorem_examples():
 def test_theorem_cap():
     with pytest.raises(CapacityError, match="14"):
         count_theorem(tuple(range(1, 16)))
-    with pytest.raises(CapacityError, match="3"):
-        count_theorem((1, 2, 3, 4), cap=3)
-    assert count_theorem((1, 2, 3, 4), cap=4) == catalan(5)
+    with mock.patch.object(counting, "THEOREM_CAP", 3):
+        with pytest.raises(CapacityError, match="n = 4 is over the cap 3"):
+            count_theorem((1, 2, 3, 4))
+    with mock.patch.object(counting, "THEOREM_CAP", 4):
+        assert count_theorem((1, 2, 3, 4)) == catalan(5)
 
 
 def test_theorem_long_zero_runs():
     # zero differences force x_i = 0 and make no products: only the two nonzero ones fill the table
-    assert count_theorem((0,) * 1200, cap=5000) == 1
-    p = (0,) * 600 + (5,) * 3 + (6,) * 600
-    assert count_theorem(p, cap=5000) == dp_oracle(p) == 69126091837236
+    with mock.patch.object(counting, "THEOREM_CAP", 5000):
+        assert count_theorem((0,) * 1200) == 1
+        p = (0,) * 600 + (5,) * 3 + (6,) * 600
+        assert count_theorem(p) == dp_oracle(p) == 69126091837236
 
 
-def test_theorem_deep_walk_refused():
-    # 1200 nonzero differences: their table would pass THEOREM_BUDGET, so it is refused unbuilt
-    with pytest.raises(CapacityError, match="theorem engine capacity exceeded: 1200 nonzero"):
-        count_theorem(tuple(range(1, 1201)), cap=5000)
+def test_theorem_matches_triangular_on_huge_heights():
+    # at the fixed cap the table's 665 products stay fast however many digits the heights have
+    rng = random.Random(14)
+    p = tuple(sorted(rng.randint(0, 10**1000) for _ in range(counting.THEOREM_CAP)))
+    assert count_theorem(p) == count_triangular(p)
 
 
 def test_theorem_table_matches_walk_exhaustively():
@@ -281,23 +286,8 @@ def test_theorem_table_matches_walk_on_random_paths():
 
 @given(tall_runs_st)
 def test_theorem_matches_triangular(p):
-    assert count_theorem(p, cap=30) == count_triangular(p)
-
-
-def test_theorem_budget_boundary(monkeypatch):
-    # reversed differences (1, 1, 1, 1): (i + 1)(i + 4)/2 products at i = 0..3, 2 + 5 + 9 + 14 = 30
-    p = (1, 2, 3, 4)
-    monkeypatch.setattr(counting, "THEOREM_BUDGET", 30)
-    assert count_theorem(p) == catalan(5)
-    monkeypatch.setattr(counting, "THEOREM_BUDGET", 29)
-    with pytest.raises(CapacityError, match=r"4 nonzero differences need 30 products, over the budget 29$"):
-        count_theorem(p)
-    # zero differences cost nothing: (1, 1, 2, 2) has reversed differences (0, 1, 0, 1), 5 + 14 products
-    monkeypatch.setattr(counting, "THEOREM_BUDGET", 19)
-    assert count_theorem((1, 1, 2, 2)) == dp_oracle((1, 1, 2, 2))
-    monkeypatch.setattr(counting, "THEOREM_BUDGET", 18)
-    with pytest.raises(CapacityError, match=r"2 nonzero differences need 19 products, over the budget 18$"):
-        count_theorem((1, 1, 2, 2))
+    with mock.patch.object(counting, "THEOREM_CAP", 30):
+        assert count_theorem(p) == count_triangular(p)
 
 
 def test_determinant_matrix_skips_zero_entries():

@@ -77,8 +77,9 @@ def test_coefficients_are_inverse_factorial_products():
 
 
 def test_symbolic_cap():
-    with pytest.raises(CapacityError):
-        symbolic_lp(15)
+    for n in (13, 15):
+        with pytest.raises(CapacityError, match=f"n = {n} is over the cap 12"):
+            symbolic_lp(n)
     with pytest.raises(ValueError):
         symbolic_lp(-1)
 
