@@ -247,6 +247,22 @@ def test_subcommand_option_inventory(capsys):
         assert "unrecognized arguments: --theorem-cap 3" in capsys.readouterr().err
 
 
+def test_enumerate_and_probability_take_no_theorem_cap(capsys):
+    for argv in (["enumerate", "h:1"], ["probability", "h:1", "1", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--theorem-cap", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --theorem-cap 3" in capsys.readouterr().err
+
+
+def test_negative_theorem_cap_exit_2(capsys):
+    # --theorem-cap is gone from count too: any value, negative included, is a usage error
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["count", "h:1,2,3", "--theorem-cap", "-5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --theorem-cap -5" in capsys.readouterr().err
+
+
 def test_enumerate_closed_pipe_exits_quietly():
     # 11 440 lines, ~180 KB: more than a pipe buffer, so the child is still writing
     proc = subprocess.Popen(
