@@ -8,16 +8,14 @@ Exit codes: 0 success, 1 failed check/disagreement, 2 usage or parse error,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from fractions import Fraction
 
 from .counting import ENGINES, CapacityError, count, enumerate_restricted
-from .exactmath import binom
+from .exactmath import binom, catalan
 from .identities import CHECKS
 from .paths import Heights, format_heights, parse_path_spec
-from .symbolic import expand, serialize, symbolic_lp, term_items
+from .symbolic import check_nvars, expand, serialize, symbolic_lp, term_items
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -45,6 +43,11 @@ def nonnegative_int(text: str) -> int:
     return value
 
 
+def _print_json(record) -> None:
+    import json  # only JSON output pays for the import
+    print(json.dumps(record))
+
+
 def _refusal(exc: CapacityError) -> str:
     """The reason in a "<what> capacity exceeded: <reason>" refusal."""
     return str(exc).partition("capacity exceeded: ")[2]
@@ -63,7 +66,7 @@ def cmd_count(args) -> int:
             print(f"note: {engine} engine skipped ({_refusal(exc)})", file=sys.stderr)
     for engine, value in results.items():
         if args.format == "json":
-            print(json.dumps({"path": {"heights": list(p)}, "engine": engine, "count": str(value)}))
+            _print_json({"path": {"heights": list(p)}, "engine": engine, "count": str(value)})
         elif args.engine == "all":
             print(f"{engine} {value}")
         else:
@@ -86,17 +89,18 @@ def cmd_enumerate(args) -> int:
         )
     for q in enumerate_restricted(p):
         if args.format == "json":
-            print(json.dumps({"heights": list(q)}))
+            _print_json({"heights": list(q)})
         else:
             print(format_heights(q))
     return EXIT_OK
 
 
 def cmd_symbolic(args) -> int:
-    poly = symbolic_lp(args.n)
     if args.count_terms:
-        print(len(poly.terms))
+        check_nvars(args.n)
+        print(catalan(args.n + 1))  # one term per point of the all-ones polytope
         return EXIT_OK
+    poly = symbolic_lp(args.n)
     if args.expand:
         poly = expand(poly)
     if args.format == "json":
@@ -105,7 +109,7 @@ def cmd_symbolic(args) -> int:
             for e, c in term_items(poly)
         ]
         basis = "monomial" if args.expand else "rising-factorial"
-        print(json.dumps({"nvars": poly.nvars, "basis": basis, "terms": terms}))
+        _print_json({"nvars": poly.nvars, "basis": basis, "terms": terms})
     else:
         print(serialize(poly))
     return EXIT_OK
@@ -126,13 +130,14 @@ def cmd_verify(args) -> int:
         all_passed = all_passed and not bad
         detail = bad[0] if bad else summary
         if args.format == "json":
-            print(json.dumps({"suite": name, "passed": not bad, "detail": detail}))
+            _print_json({"suite": name, "passed": not bad, "detail": detail})
         else:
             print(f"{name}: {'FAIL' if bad else 'pass'} ({detail})")
     return EXIT_OK if all_passed else EXIT_FAILED
 
 
 def cmd_probability(args) -> int:
+    from fractions import Fraction
     p = _parse_path(args.path)
     n, m = args.n, args.m
     if n < 0 or m < 0:
@@ -144,10 +149,10 @@ def cmd_probability(args) -> int:
     favorable, total = count(p, "triangular"), binom(n + m, n)
     probability = Fraction(favorable, total)
     if args.format == "json":
-        print(json.dumps({
+        _print_json({
             "path": {"heights": list(p)}, "n": n, "m": m, "favorable": str(favorable),
             "total": str(total), "probability": f"{probability.numerator}/{probability.denominator}",
-        }))
+        })
     else:
         print(probability)
     return EXIT_OK

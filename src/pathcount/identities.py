@@ -12,9 +12,8 @@ determinant-identity ones, as the suites of ``pathcount verify``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .counting import ENGINES, count, enumerate_polytope, macmahon_bruteforce, macmahon_total
 from .exactmath import binom
@@ -22,8 +21,7 @@ from .paths import Heights, Point
 from .symbolic import verify_det_identity
 
 
-@dataclass(frozen=True)
-class ChildSet:
+class ChildSet(NamedTuple):
     """A point together with all points one coordinate longer that map back to it."""
 
     parent: Point

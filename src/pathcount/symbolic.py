@@ -12,14 +12,16 @@ expansions store exponents in natural v_1..v_n order instead.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from math import prod
+from typing import TYPE_CHECKING, NamedTuple
 
 from .counting import CapacityError, count_determinant, enumerate_polytope
 from .exactmath import catalan, factorial, rising_factorial
 from .paths import Diffs, sigma
+
+if TYPE_CHECKING:  # Fraction is imported where one is built, to keep import cheap
+    from fractions import Fraction
 
 # largest n that symbolic_lp expands: C_13 = 742 900 stored terms, about 300 MB
 SYMBOLIC_CAP = 12
@@ -28,6 +30,7 @@ __all__ = [
     "MonomialPolynomial",
     "RFPolynomial",
     "RFTerm",
+    "check_nvars",
     "evaluate",
     "expand",
     "serialize",
@@ -37,36 +40,41 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RFTerm:
+class RFTerm(NamedTuple):
     """One rising-factorial term: coeff * prod_i v_{n+1-i}^(exponents[i])."""
 
     coeff: Fraction
     exponents: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class RFPolynomial:
+class RFPolynomial(NamedTuple("_RFFields", [("terms", "tuple[RFTerm, ...]"), ("nvars", int)])):
     """Rising-factorial terms in lexicographic exponent order, all distinct."""
 
-    terms: tuple[RFTerm, ...]
-    nvars: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        exps = [t.exponents for t in self.terms]
+    def __new__(cls, terms: tuple[RFTerm, ...], nvars: int):
+        exps = [t.exponents for t in terms]
         if sorted(exps) != exps or len(set(exps)) != len(exps):
             raise ValueError("terms must be lexicographically sorted and distinct")
         for e in exps:
-            if len(e) != self.nvars:
-                raise ValueError(f"exponent tuple {e} does not have {self.nvars} entries")
+            if len(e) != nvars:
+                raise ValueError(f"exponent tuple {e} does not have {nvars} entries")
+        return super().__new__(cls, terms, nvars)
 
 
-@dataclass(frozen=True)
-class MonomialPolynomial:
+class MonomialPolynomial(NamedTuple):
     """Map from natural-order exponent tuples to nonzero rational coefficients."""
 
     coeffs: dict[tuple[int, ...], Fraction]
     nvars: int
+
+
+def check_nvars(n: int) -> None:
+    """Refuse a variable count ``symbolic_lp`` would not expand."""
+    if n < 0:
+        raise ValueError(f"variable count {n} is negative")
+    if n > SYMBOLIC_CAP:
+        raise CapacityError(f"symbolic expansion capacity exceeded: n = {n} is over the cap {SYMBOLIC_CAP}")
 
 
 def symbolic_lp(n: int) -> RFPolynomial:
@@ -76,10 +84,8 @@ def symbolic_lp(n: int) -> RFPolynomial:
     prod_i 1/x_i!; the term count is the Catalan number C_{n+1}.  Refuses
     n > ``SYMBOLIC_CAP`` before building any term.
     """
-    if n < 0:
-        raise ValueError(f"variable count {n} is negative")
-    if n > SYMBOLIC_CAP:
-        raise CapacityError(f"symbolic expansion capacity exceeded: n = {n} is over the cap {SYMBOLIC_CAP}")
+    from fractions import Fraction
+    check_nvars(n)
     terms = []
     for x in enumerate_polytope((1,) * n):
         coeff = Fraction(1, prod(factorial(e) for e in x))
@@ -103,6 +109,7 @@ def _rf_coeffs(m: int) -> list[int]:
 
 def expand(rf: RFPolynomial) -> MonomialPolynomial:
     """Rewrite into the plain monomial basis, variables in natural v_1..v_n order."""
+    from fractions import Fraction
     n = rf.nvars
     out: dict[tuple[int, ...], Fraction] = {}
     for term in rf.terms:
@@ -130,6 +137,7 @@ def evaluate(poly: RFPolynomial | MonomialPolynomial, v: Diffs) -> Fraction:
     These polynomials always take integer values at integer points, which is
     checked on every call.
     """
+    from fractions import Fraction
     if len(v) != poly.nvars:
         raise ValueError(f"expected {poly.nvars} values, got {len(v)}")
     total = Fraction(0)

@@ -276,6 +276,39 @@ def test_enumerate_closed_pipe_exits_quietly():
     assert b"Traceback" not in err, err
 
 
+def run_child(code: str) -> str:
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=CHILD_ENV, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+def test_cli_import_loads_no_unused_stdlib_modules():
+    # measured against the child's own start set, so site-wide .pth imports do not count
+    added = run_child(
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from pathcount.cli import main\n"
+        "main(['count', 'h:1,2,3'])\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    ).split()
+    assert "pathcount.cli" in added
+    assert {"dataclasses", "inspect", "fractions", "decimal", "json"}.isdisjoint(added)
+
+
+def test_package_namespace_is_eager():
+    # perfbench builds its namespace from vars(pathcount): no name may be lazy
+    missing = run_child(
+        "import pathcount\n"
+        "missing = set(pathcount.__all__) - set(vars(pathcount))\n"
+        "star = {}\n"
+        "exec('from pathcount import *', star)\n"
+        "print(sorted(missing | (set(pathcount.__all__) - set(star))))\n"
+    )
+    assert missing == "[]"
+
+
 def test_enumerate_json(capsys):
     code, out, _ = run(capsys, "enumerate", "h:1,1", "--format", "json")
     assert code == 0
@@ -319,6 +352,16 @@ def test_symbolic_cap_exit_3(capsys, monkeypatch):
         assert code == 3
         assert out == ""
         assert err == f"error: symbolic expansion capacity exceeded: n = {n} is over the cap 12\n"
+
+
+def test_symbolic_count_terms_builds_no_term(capsys, monkeypatch):
+    # the term count is the Catalan number C_{n+1}; no polytope point is enumerated
+    monkeypatch.setattr(symbolic, "enumerate_polytope", None)
+    code, out, _ = run(capsys, "symbolic", "12", "--count-terms")
+    assert (code, out) == (0, "742900\n")
+    code, out, err = run(capsys, "symbolic", "13", "--count-terms")
+    assert (code, out) == (3, "")
+    assert err == "error: symbolic expansion capacity exceeded: n = 13 is over the cap 12\n"
 
 
 def test_symbolic_negative_n_exit_2(capsys):

@@ -11,6 +11,7 @@ import pytest
 
 from pathcount.counting import CapacityError, count_recurrence, dp_oracle
 from pathcount.exactmath import catalan, factorial
+from pathcount.identities import children
 from pathcount.paths import sigma
 from pathcount.symbolic import (
     MonomialPolynomial,
@@ -93,6 +94,14 @@ def test_rfpolynomial_rejects_disorder():
         RFPolynomial((t0, t0), 1)
     with pytest.raises(ValueError):
         RFPolynomial((RFTerm(F(1), (0, 0)),), 1)
+
+
+def test_records_compare_by_value_and_are_immutable():
+    rf, mono, kids = symbolic_lp(4), expand(symbolic_lp(3)), children((1, 2))
+    assert (rf, mono, kids) == (symbolic_lp(4), expand(symbolic_lp(3)), children((1, 2)))
+    for record, field in ((rf, "terms"), (rf.terms[0], "coeff"), (mono, "coeffs"), (kids, "children")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
 
 
 def test_expand_n1():
