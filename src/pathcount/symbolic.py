@@ -14,14 +14,11 @@ from __future__ import annotations
 import random
 from itertools import product
 from math import prod
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .counting import CapacityError, count_determinant, enumerate_polytope
 from .exactmath import catalan, factorial, rising_factorial
 from .paths import Diffs, sigma
-
-if TYPE_CHECKING:  # Fraction is imported where one is built, to keep import cheap
-    from fractions import Fraction
 
 # largest n that symbolic_lp expands: C_13 = 742 900 stored terms, about 300 MB
 SYMBOLIC_CAP = 12
@@ -60,6 +57,10 @@ class RFPolynomial(NamedTuple("_RFFields", [("terms", "tuple[RFTerm, ...]"), ("n
             if len(e) != nvars:
                 raise ValueError(f"exponent tuple {e} does not have {nvars} entries")
         return super().__new__(cls, terms, nvars)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through here; keep the checks
+        return cls(*iterable)
 
 
 class MonomialPolynomial(NamedTuple):

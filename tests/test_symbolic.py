@@ -102,6 +102,8 @@ def test_records_compare_by_value_and_are_immutable():
     for record, field in ((rf, "terms"), (rf.terms[0], "coeff"), (mono, "coeffs"), (kids, "children")):
         with pytest.raises(AttributeError):
             setattr(record, field, None)
+    with pytest.raises(ValueError):
+        rf._replace(terms=rf.terms[::-1])
 
 
 def test_expand_n1():
