@@ -18,6 +18,7 @@ The empty path renders as ``w:`` / ``h:`` / ``d:``.
 from __future__ import annotations
 
 from itertools import accumulate
+from operator import index
 
 Heights = tuple[int, ...]
 Diffs = tuple[int, ...]
@@ -25,23 +26,45 @@ Point = tuple[int, ...]
 Word = str
 
 
+def as_integers(values, what: str) -> tuple[int, ...]:
+    """Return ``values`` as a tuple of ints, refusing what ``operator.index`` refuses.
+
+    A float, string or ``Fraction`` entry raises ``ValueError`` naming it, so
+    that no engine silently counts below a non-integer path.
+    """
+    values = tuple(values)
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        for x in values:
+            try:
+                index(x)
+            except TypeError:
+                raise ValueError(f"{what} {x!r} is not an integer") from None
+        raise
+
+
 def validate_heights(p) -> Heights:
-    """Return ``p`` as a tuple, rejecting negative or decreasing entries."""
+    """Return ``p`` as a tuple of ints, rejecting non-integer, negative or decreasing entries."""
     p = tuple(p)
     prev = 0
     for h in p:
-        if h < 0:
-            raise ValueError(f"height {h!r} is negative")
-        if h < prev:
+        if type(h) is not int:  # rare: convert once, then check the ints
+            return validate_heights(as_integers(p, "height"))
+        if h < prev:  # prev >= 0, so a negative height lands here too
+            if h < 0:
+                raise ValueError(f"height {h!r} is negative")
             raise ValueError(f"heights must be nondecreasing (found {prev} followed by {h})")
         prev = h
     return p
 
 
 def validate_diffs(v) -> Diffs:
-    """Return ``v`` as a tuple, rejecting negative entries."""
+    """Return ``v`` as a tuple of ints, rejecting non-integer or negative entries."""
     v = tuple(v)
     for d in v:
+        if type(d) is not int:
+            return validate_diffs(as_integers(v, "difference"))
         if d < 0:
             raise ValueError(f"difference {d!r} is negative")
     return v

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import random
 from itertools import product
-from math import prod
+from math import lcm, prod
 from typing import NamedTuple
 
 from .counting import CapacityError, count_determinant, enumerate_polytope
 from .exactmath import catalan, factorial, rising_factorial
-from .paths import Diffs, sigma
+from .paths import Diffs, as_integers, sigma
 
 # largest n that symbolic_lp expands: C_13 = 742 900 stored terms, about 300 MB
 SYMBOLIC_CAP = 12
@@ -133,31 +133,39 @@ def expand(rf: RFPolynomial) -> MonomialPolynomial:
 
 
 def evaluate(poly: RFPolynomial | MonomialPolynomial, v: Diffs) -> Fraction:
-    """Exact value at the integer difference vector ``v``.
+    """Exact value at the integer point ``v``, as a ``Fraction`` with denominator 1.
 
-    These polynomials always take integer values at integer points, which is
-    checked on every call.
+    Any integer point will do, negative entries included; a non-integer entry
+    raises ``ValueError``.  The sum is taken over the integers: every
+    coefficient's numerator is scaled to the lcm of the denominators, each
+    variable multiplies in its factors column by column from a table of the
+    exponents present in its column (rising factorials of the reversed ``v``
+    for the rising-factorial basis, powers of ``v`` for the monomial one), and
+    one division ends it.  These polynomials take integer values at integer
+    points; a non-integer value raises ``ArithmeticError``.
     """
     from fractions import Fraction
+    v = as_integers(v, "value")
     if len(v) != poly.nvars:
         raise ValueError(f"expected {poly.nvars} values, got {len(v)}")
-    total = Fraction(0)
     if isinstance(poly, RFPolynomial):
-        rev = tuple(reversed(v))
-        for term in poly.terms:
-            factor = 1
-            for base, m in zip(rev, term.exponents):
-                factor *= rising_factorial(base, m)
-                if factor == 0:
-                    break
-            if factor:
-                total += term.coeff * factor
+        exps = [t.exponents for t in poly.terms]
+        coeffs = [t.coeff for t in poly.terms]
+        bases, power = v[::-1], rising_factorial
     else:
-        for exps, coeff in poly.coeffs.items():
-            mono = 1
-            for base, e in zip(v, exps):
-                mono *= base**e
-            total += coeff * mono
+        exps = list(poly.coeffs)
+        coeffs = list(poly.coeffs.values())
+        bases, power = v, pow
+    dens = [c.denominator for c in coeffs]
+    common = lcm(*set(dens))
+    scale = {d: common // d for d in set(dens)}
+    # one iterator per factor of a term's integer summand, zipped and multiplied term by term
+    factors = []
+    for base, column in zip(bases, zip(*exps)):
+        table = {e: power(base, e) for e in set(column)}
+        factors.append(map(table.__getitem__, column))
+    factors += [map(scale.__getitem__, dens), [c.numerator for c in coeffs]]
+    total = Fraction(sum(map(prod, zip(*factors))), common)
     if total.denominator != 1:
         raise ArithmeticError(f"count polynomial evaluated to the non-integer {total}")
     return total

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import os
 import random
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from unittest import mock
 
@@ -324,6 +326,20 @@ def test_count_dispatch():
         count((1,), "magic")
     with pytest.raises(ValueError):
         count((2, 1), "dp")
+
+
+def test_non_integer_heights_refused_by_every_engine():
+    # a float path used to be counted by triangular (5.5 for (1.5, 2.0)) and
+    # to raise TypeError in the other engines
+    for bad, entry in (((1.5, 2.0), 1.5), ((1, 2.0), 2.0), ((Fraction(1), 2), Fraction(1)), (("1", 2), "1")):
+        for engine in ENGINES:
+            with pytest.raises(ValueError, match=re.escape(f"height {entry!r} is not an integer")):
+                count(bad, engine)
+    with pytest.raises(ValueError, match="difference 0.5 is not an integer"):
+        list(enumerate_polytope((0.5, 1)))
+    # what operator.index accepts is counted as the int it stands for
+    for engine in ENGINES:
+        assert count((True, 2), engine) == count((1, 2), engine) == 5
 
 
 def test_column_guard(monkeypatch):

@@ -15,6 +15,7 @@ from pathcount.paths import (
     is_restricted_by,
     parse_path_spec,
     sigma,
+    validate_diffs,
     validate_heights,
     word_to_heights,
 )
@@ -133,6 +134,33 @@ def test_validate_heights():
         validate_heights((1, 0))
     with pytest.raises(ValueError):
         validate_heights((-1,))
+
+
+def test_validate_refuses_what_operator_index_refuses():
+    for bad in ((0, 1.5), (0.0,), ("1",)):
+        with pytest.raises(ValueError, match="is not an integer"):
+            validate_heights(bad)
+        with pytest.raises(ValueError, match="is not an integer"):
+            validate_diffs(bad)
+    with pytest.raises(ValueError, match=r"height 2\.0 is not an integer"):
+        validate_heights([1, 2.0])
+    with pytest.raises(ValueError, match=r"difference 2\.0 is not an integer"):
+        validate_diffs(iter([1, 2.0]))
+    # index-able entries come back as plain ints, then face the usual checks
+    assert validate_heights((False, True, True)) == (0, 1, 1)
+    assert all(type(h) is int for h in validate_heights((False, True)))
+    assert validate_diffs((True, 0)) == (1, 0)
+    with pytest.raises(ValueError, match="nondecreasing"):
+        validate_heights((True, False))
+    # negative entries keep their own messages, wherever they sit
+    with pytest.raises(ValueError, match="height -1 is negative"):
+        validate_heights((0, -1))
+    with pytest.raises(ValueError, match="height -3 is negative"):
+        validate_heights((2, -3))
+    with pytest.raises(ValueError, match=r"found 2 followed by 1\)"):
+        validate_heights((2, 1))
+    with pytest.raises(ValueError, match="difference -1 is negative"):
+        validate_diffs((1, -1))
 
 
 def test_parse_path_spec_forms():

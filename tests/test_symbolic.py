@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import os
 import random
+import re
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 from math import prod
 
 import pytest
 
+import pathcount
 from pathcount.counting import CapacityError, count_recurrence, dp_oracle
-from pathcount.exactmath import catalan, factorial
+from pathcount.exactmath import catalan, factorial, rising_factorial
 from pathcount.identities import children
 from pathcount.paths import sigma
 from pathcount.symbolic import (
@@ -171,6 +176,104 @@ def test_evaluate_matches_recurrence_random():
         value = evaluate(symbolic_lp(n), v)
         assert value.denominator == 1
         assert value == count_recurrence(v)
+
+
+def fraction_sum_evaluate(poly, v):
+    """Test-side oracle: the per-term ``Fraction`` loop that ``evaluate`` replaced."""
+    if len(v) != poly.nvars:
+        raise ValueError(f"expected {poly.nvars} values, got {len(v)}")
+    total = Fraction(0)
+    if isinstance(poly, RFPolynomial):
+        rev = tuple(reversed(v))
+        for term in poly.terms:
+            factor = 1
+            for base, m in zip(rev, term.exponents):
+                factor *= rising_factorial(base, m)
+            total += term.coeff * factor
+    else:
+        for exps, coeff in poly.coeffs.items():
+            mono = 1
+            for base, e in zip(v, exps):
+                mono *= base**e
+            total += coeff * mono
+    if total.denominator != 1:
+        raise ArithmeticError(f"count polynomial evaluated to the non-integer {total}")
+    return total
+
+
+def random_polynomials(rng, cases):
+    """Random polynomials of both bases, ``nvars = 0`` and the empty one included."""
+    for i in range(cases):
+        nvars = i % 5
+        points = {tuple(rng.randint(0, 4) for _ in range(nvars)) for _ in range(rng.randint(0, 8))}
+        coeffs = {e: F(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 4, 6, 12))) for e in points}
+        yield MonomialPolynomial(coeffs, nvars)
+        yield RFPolynomial(tuple(RFTerm(c, e) for e, c in sorted(coeffs.items())), nvars)
+
+
+def test_evaluate_matches_fraction_sum_oracle():
+    rng = random.Random(2024)
+    outcomes = {"integer": 0, "non-integer": 0}
+    for poly in random_polynomials(rng, 600):
+        for _ in range(3):
+            v = tuple(rng.randint(-5, 5) for _ in range(poly.nvars))
+            try:
+                expected = fraction_sum_evaluate(poly, v)
+            except ArithmeticError as exc:
+                with pytest.raises(ArithmeticError) as got:
+                    evaluate(poly, v)
+                assert str(got.value) == str(exc)
+                outcomes["non-integer"] += 1
+            else:
+                value = evaluate(poly, v)
+                assert type(value) is Fraction and value == expected
+                outcomes["integer"] += 1
+    assert min(outcomes.values()) > 300, outcomes
+    for poly in (MonomialPolynomial({}, 3), RFPolynomial((), 2), RFPolynomial((), 0)):
+        assert evaluate(poly, (7,) * poly.nvars) == 0
+    for n in range(6):
+        rf = symbolic_lp(n)
+        for poly in (rf, expand(rf)):
+            v = tuple(rng.randint(-8, 20) for _ in range(n))
+            assert evaluate(poly, v) == fraction_sum_evaluate(poly, v)
+
+
+def test_evaluate_refuses_non_integer_entries():
+    for poly in (symbolic_lp(2), expand(symbolic_lp(2))):
+        with pytest.raises(ValueError, match="value 1.5 is not an integer"):
+            evaluate(poly, (1.5, 2))
+        with pytest.raises(ValueError, match=re.escape("value Fraction(1, 2) is not an integer")):
+            evaluate(poly, (1, F(1, 2)))
+        # the polynomial is defined at every integer point
+        # (1 + v1 + v1 (v1 + 1) / 2 + v2 + v1 v2 at v1 = -2, v2 = 3)
+        assert evaluate(poly, (-2, 3)) == fraction_sum_evaluate(poly, (-2, 3)) == -3
+        assert evaluate(poly, (True, 1)) == 5
+
+
+def test_evaluate_table_holds_only_present_exponents():
+    # a table sized by the largest exponent would take a million entries here
+    assert evaluate(MonomialPolynomial({(10**6,): F(1)}, 1), (1,)) == 1
+    assert evaluate(MonomialPolynomial({(0, 10**6): F(2), (3, 10**6 + 1): F(1)}, 2), (2, -1)) == -6
+
+
+def test_evaluate_refuses_non_integer_value_under_optimize():
+    # the non-integer check must survive python -O, which strips asserts
+    src = os.path.dirname(os.path.dirname(pathcount.__file__))
+    code = (
+        "from fractions import Fraction\n"
+        "from pathcount.symbolic import MonomialPolynomial, RFPolynomial, RFTerm, evaluate\n"
+        "if __debug__:\n    raise SystemExit('not running under -O')\n"
+        "half = Fraction(1, 2)\n"
+        "for poly in (RFPolynomial((RFTerm(half, (1,)),), 1), MonomialPolynomial({(1,): half}, 1)):\n"
+        "    try:\n        evaluate(poly, (1,))\n"
+        "    except ArithmeticError as exc:\n"
+        "        if str(exc) != 'count polynomial evaluated to the non-integer 1/2':\n"
+        "            raise SystemExit(f'unexpected message {exc}')\n"
+        "    else:\n        raise SystemExit(f'{type(poly).__name__} evaluated to a non-integer')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60)
+    assert proc.returncode == 0
 
 
 def test_verify_det_identity():
