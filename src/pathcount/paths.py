@@ -45,30 +45,28 @@ def as_integers(values, what: str) -> tuple[int, ...]:
 
 
 def validate_heights(p) -> Heights:
-    """Return ``p`` as a tuple, rejecting non-integer, negative or decreasing entries."""
+    """Return ``p`` as a tuple of ints, rejecting non-integer, negative or decreasing entries."""
     p = tuple(p)
     prev = 0
-    try:
-        for h in map(index, p):
-            if h < prev:  # prev >= 0, so a negative height lands here too
-                if h < 0:
-                    raise ValueError(f"height {h!r} is negative")
-                raise ValueError(f"heights must be nondecreasing (found {prev} followed by {h})")
-            prev = h
-    except TypeError:
-        as_integers(p, "height")  # raises ValueError naming the entry
+    for h in p:
+        if type(h) is not int:  # convert every entry, or refuse a non-integer, then check again
+            return validate_heights(as_integers(p, "height"))
+        if h < prev:  # prev >= 0, so a negative height lands here too
+            if h < 0:
+                raise ValueError(f"height {h!r} is negative")
+            raise ValueError(f"heights must be nondecreasing (found {prev} followed by {h})")
+        prev = h
     return p
 
 
 def validate_diffs(v) -> Diffs:
-    """Return ``v`` as a tuple, rejecting non-integer or negative entries."""
+    """Return ``v`` as a tuple of ints, rejecting non-integer or negative entries."""
     v = tuple(v)
-    try:
-        for d in map(index, v):
-            if d < 0:
-                raise ValueError(f"difference {d!r} is negative")
-    except TypeError:
-        as_integers(v, "difference")  # raises ValueError naming the entry
+    for d in v:
+        if type(d) is not int:
+            return validate_diffs(as_integers(v, "difference"))
+        if d < 0:
+            raise ValueError(f"difference {d!r} is negative")
     return v
 
 

@@ -146,9 +146,10 @@ def test_validate_refuses_what_operator_index_refuses():
         validate_heights([1, 2.0])
     with pytest.raises(ValueError, match=r"difference 2\.0 is not an integer"):
         validate_diffs(iter([1, 2.0]))
-    # what operator.index accepts passes, then faces the usual checks
+    # what operator.index accepts comes back as plain ints, then faces the usual checks
     assert validate_heights((False, True, True)) == (0, 1, 1)
     assert validate_diffs((True, 0)) == (1, 0)
+    assert all(type(x) is int for x in validate_heights((False, True)) + validate_diffs((True, 0)))
     with pytest.raises(ValueError, match="nondecreasing"):
         validate_heights((True, False))
     # negative entries keep their own messages, wherever they sit
