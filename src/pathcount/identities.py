@@ -3,17 +3,18 @@
 The children/parent correspondence ties the lattice points of consecutive
 all-ones polytopes together; the summation lemma, its telescoping half and
 the generalized Vandermonde identity are what make the correspondence count
-correctly.  Each identity is exposed as plain functions plus an exhaustive
-``check_*`` driver that returns counterexample descriptions (empty = pass).
-``CHECKS`` lists these checks, with the cross-engine, MacMahon and
-determinant-identity ones, as the suites of ``pathcount verify``.
+correctly.  Each identity is exposed as plain functions that compute its
+sides.  ``CHECKS`` lists the suites of ``pathcount verify``: five run one
+:func:`disagreements` loop over a box of points, the children and
+determinant-identity suites have their own checks, and every suite returns
+its counterexample descriptions (empty = pass).
 """
 
 from __future__ import annotations
 
 import random
 from itertools import combinations_with_replacement, product
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .counting import ENGINES, count, enumerate_polytope, macmahon_bruteforce, macmahon_total
 from .exactmath import binom
@@ -100,44 +101,16 @@ def eq3_sides(v1: int, v2: int, y: int) -> tuple[int, int]:
     return lhs, rhs
 
 
-def check_lemma(bound: int = 20) -> list[str]:
-    """Exhaustive lemma check (lhs = rhs = closed form) on the [0, bound]^3 box."""
+def disagreements(points: Iterable[tuple], sides: Callable[..., tuple]) -> list[str]:
+    """Each point at which the values of ``sides(*point)`` are not all equal.
+
+    A point is reported as ``"<point>: <values>"``; an empty list is a pass.
+    """
     bad = []
-    for a, b, c in product(range(bound + 1), repeat=3):
-        lhs, rhs, closed = lemma_lhs(a, b, c), lemma_rhs(a, b, c), lemma_closed(a, b, c)
-        if not (lhs == rhs == closed):
-            bad.append(f"a={a} b={b} c={c}: lhs={lhs} rhs={rhs} closed={closed}")
-    return bad
-
-
-def check_telescoping(bound: int = 20) -> list[str]:
-    """Exhaustive check that the telescoped sum equals the closed form."""
-    bad = []
-    for a, b, c in product(range(bound + 1), repeat=3):
-        tele, closed = telescoped_sum(a, b, c), lemma_closed(a, b, c)
-        if tele != closed:
-            bad.append(f"a={a} b={b} c={c}: telescoped={tele} closed={closed}")
-    return bad
-
-
-def check_vandermonde(bound: int = 20) -> list[str]:
-    """Exhaustive generalized-Vandermonde check for d, e <= bound, f <= e + 1."""
-    bad = []
-    for d, e in product(range(bound + 1), repeat=2):
-        for f in range(e + 2):
-            lhs, rhs = vandermonde_gen(d, e, f)
-            if lhs != rhs:
-                bad.append(f"d={d} e={e} f={f}: lhs={lhs} rhs={rhs}")
-    return bad
-
-
-def check_eq3(bound: int = 6) -> list[str]:
-    """Exhaustive two-coordinate reduction check for v1, v2, y <= bound."""
-    bad = []
-    for v1, v2, y in product(range(bound + 1), repeat=3):
-        lhs, rhs = eq3_sides(v1, v2, y)
-        if lhs != rhs:
-            bad.append(f"v1={v1} v2={v2} y={y}: lhs={lhs} rhs={rhs}")
+    for point in points:
+        values = sides(*point)
+        if values.count(values[0]) != len(values):
+            bad.append(f"{point}: {values}")
     return bad
 
 
@@ -179,37 +152,17 @@ def check_parent_child_box(max_entry: int = 6, max_len: int = 6) -> list[str]:
 
 
 def cross_engine_paths(seed: int) -> Iterator[Heights]:
-    """Every path with n <= 5 and heights <= 5, then 60 random ones with n <= 9."""
+    """Every path with n <= 5 and heights <= 5, then 60 random ones with n <= 9.
+
+    All of them have n <= 9 and heights <= 40, inside every engine's cap, so
+    no engine refuses one.
+    """
     for n in range(6):
         yield from combinations_with_replacement(range(6), n)
     rng = random.Random(seed)
     for _ in range(60):
         n = rng.randint(0, 9)
         yield tuple(sorted(rng.randint(0, 40) for _ in range(n)))
-
-
-def check_cross_engine(seed: int = 0) -> list[str]:
-    """All five engines must give the same count on each of :func:`cross_engine_paths`.
-
-    Those paths have n <= 9 and heights <= 40, inside every engine's cap, so
-    no engine refuses one.
-    """
-    bad = []
-    for p in cross_engine_paths(seed):
-        values = {engine: count(p, engine) for engine in ENGINES}
-        if len(set(values.values())) > 1:
-            bad.append(f"p={p}: {values}")
-    return bad
-
-
-def check_macmahon(bound: int = 5) -> list[str]:
-    """MacMahon's closed form against the path-by-path sum for n, m <= bound."""
-    bad = []
-    for n, m in product(range(bound + 1), repeat=2):
-        got, want = macmahon_bruteforce(n, m), macmahon_total(n, m)
-        if got != want:
-            bad.append(f"n={n} m={m}: brute force {got} != closed form {want}")
-    return bad
 
 
 def check_det_identity(max_n: int = 6, trials: int = 100, seed: int = 0) -> list[str]:
@@ -224,18 +177,23 @@ def check_det_identity(max_n: int = 6, trials: int = 100, seed: int = 0) -> list
 # verify suite name -> check(seed) -> (counterexamples, summary of a pass)
 CHECKS: dict[str, Callable[[int], tuple[list[str], str]]] = {
     "cross-engine": lambda seed: (
-        check_cross_engine(seed), f"{len(list(cross_engine_paths(seed)))} paths agree across all engines"),
+        disagreements(paths := list(cross_engine_paths(seed)), lambda *p: tuple(count(p, e) for e in ENGINES)),
+        f"{len(paths)} paths agree across all engines"),
     "macmahon": lambda seed: (
-        check_macmahon(5), "aggregate matches the closed form for all endpoints up to (5, 5)"),
+        disagreements(product(range(6), repeat=2), lambda n, m: (macmahon_bruteforce(n, m), macmahon_total(n, m))),
+        "aggregate matches the closed form for all endpoints up to (5, 5)"),
     "lemma": lambda seed: (
-        check_lemma(20) + check_telescoping(20), "9261 triples agree (both sides, closed form, telescoping)"),
+        disagreements(product(range(21), repeat=3), lambda a, b, c: (
+            lemma_lhs(a, b, c), lemma_rhs(a, b, c), lemma_closed(a, b, c), telescoped_sum(a, b, c))),
+        "9261 triples agree (both sides, closed form, telescoping)"),
     "vandermonde": lambda seed: (
-        check_vandermonde(20), "all d, e <= 20 with f <= e + 1 agree"),
+        disagreements(((d, e, f) for d, e in product(range(21), repeat=2) for f in range(e + 2)), vandermonde_gen),
+        "all d, e <= 20 with f <= e + 1 agree"),
     "children": lambda seed: (
         check_children_partition(8) + check_parent_child_box(6, 6),
         "children tile every polytope up to n = 8 and parent inverts them"),
     "det-identity": lambda seed: (
         check_det_identity(6, 100, seed), "determinant equals the rising-factorial sum at 100 random points per n <= 6"),
     "eq3": lambda seed: (
-        check_eq3(6), "two-coordinate reduction agrees for all v1, v2, y <= 6"),
+        disagreements(product(range(7), repeat=3), eq3_sides), "two-coordinate reduction agrees for all v1, v2, y <= 6"),
 }

@@ -32,16 +32,13 @@ def as_integers(values, what: str) -> tuple[int, ...]:
     A float, string or ``Fraction`` entry raises ``ValueError`` naming it, so
     that no engine silently counts below a non-integer path.
     """
-    values = tuple(values)
-    try:
-        return tuple(map(index, values))
-    except TypeError:
-        for x in values:
-            try:
-                index(x)
-            except TypeError:
-                raise ValueError(f"{what} {x!r} is not an integer") from None
-        raise
+    out = []
+    for x in values:
+        try:
+            out.append(index(x))
+        except TypeError:
+            raise ValueError(f"{what} {x!r} is not an integer") from None
+    return tuple(out)
 
 
 def validate_heights(p) -> Heights:

@@ -12,8 +12,9 @@ expansions store exponents in natural v_1..v_n order instead.
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import chain, product
 from math import lcm, prod
+from operator import lt
 from typing import NamedTuple
 
 from .counting import CapacityError, count_determinant, enumerate_polytope
@@ -45,17 +46,19 @@ class RFTerm(NamedTuple):
 
 
 class RFPolynomial(NamedTuple("_RFFields", [("terms", "tuple[RFTerm, ...]"), ("nvars", int)])):
-    """Rising-factorial terms in lexicographic exponent order, all distinct."""
+    """Rising-factorial terms in lexicographic exponent order, all distinct and nonnegative."""
 
     __slots__ = ()
 
     def __new__(cls, terms: tuple[RFTerm, ...], nvars: int):
         exps = [t.exponents for t in terms]
-        if sorted(exps) != exps or len(set(exps)) != len(exps):
+        if not all(map(lt, exps, exps[1:])):
             raise ValueError("terms must be lexicographically sorted and distinct")
         for e in exps:
             if len(e) != nvars:
                 raise ValueError(f"exponent tuple {e} does not have {nvars} entries")
+        if min(chain.from_iterable(exps), default=0) < 0:
+            raise ValueError(f"exponent tuple {min(exps, key=min)} has a negative entry")
         return super().__new__(cls, terms, nvars)
 
     @classmethod
@@ -142,7 +145,8 @@ def evaluate(poly: RFPolynomial | MonomialPolynomial, v: Diffs) -> Fraction:
     exponents present in its column (rising factorials of the reversed ``v``
     for the rising-factorial basis, powers of ``v`` for the monomial one), and
     one division ends it.  These polynomials take integer values at integer
-    points; a non-integer value raises ``ArithmeticError``.
+    points; a non-integer value raises ``ArithmeticError``, and a negative
+    exponent raises ``ValueError`` naming its exponent tuple.
     """
     from fractions import Fraction
     v = as_integers(v, "value")
@@ -162,7 +166,10 @@ def evaluate(poly: RFPolynomial | MonomialPolynomial, v: Diffs) -> Fraction:
     # one iterator per factor of a term's integer summand, zipped and multiplied term by term
     factors = []
     for base, column in zip(bases, zip(*exps)):
-        table = {e: power(base, e) for e in set(column)}
+        present = set(column)
+        if min(present) < 0:
+            raise ValueError(f"exponent tuple {min(exps, key=min)} has a negative entry")
+        table = {e: power(base, e) for e in present}
         factors.append(map(table.__getitem__, column))
     factors += [map(scale.__getitem__, dens), [c.numerator for c in coeffs]]
     total = Fraction(sum(map(prod, zip(*factors))), common)

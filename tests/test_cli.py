@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import pathcount
-from pathcount import cli, symbolic
+from pathcount import cli, identities, symbolic
 from pathcount.counting import ENGINES, dp_oracle
 from pathcount.identities import CHECKS
 from pathcount.paths import parse_path_spec
@@ -423,6 +423,45 @@ def test_verify_failure_path(capsys, monkeypatch):
     assert list(records) == list(CHECKS)
     assert records["lemma"] == {"suite": "lemma", "passed": False, "detail": counterexample}
     assert all(r["passed"] for name, r in records.items() if name != "lemma")
+
+
+def test_verify_reports_the_point_where_a_real_row_fails(capsys, monkeypatch):
+    # one side of the macmahon row is wrong at (2, 3) only; the row must name that point and no other
+    closed_form = identities.macmahon_total
+    want = closed_form(2, 3)
+    monkeypatch.setattr(identities, "macmahon_total", lambda n, m: closed_form(n, m) + ((n, m) == (2, 3)))
+    counterexample = f"(2, 3): ({want}, {want + 1})"
+    assert CHECKS["macmahon"](0)[0] == [counterexample]
+    code, out, _ = run(capsys, "verify", "macmahon")
+    assert code == 1
+    assert out == f"macmahon: FAIL ({counterexample})\n"
+
+
+VERIFY_ALL_SEED_7 = """\
+cross-engine: pass (522 paths agree across all engines)
+macmahon: pass (aggregate matches the closed form for all endpoints up to (5, 5))
+lemma: pass (9261 triples agree (both sides, closed form, telescoping))
+vandermonde: pass (all d, e <= 20 with f <= e + 1 agree)
+children: pass (children tile every polytope up to n = 8 and parent inverts them)
+det-identity: pass (determinant equals the rising-factorial sum at 100 random points per n <= 6)
+eq3: pass (two-coordinate reduction agrees for all v1, v2, y <= 6)
+"""
+
+VERIFY_ALL_SEED_7_JSON = """\
+{"suite": "cross-engine", "passed": true, "detail": "522 paths agree across all engines"}
+{"suite": "macmahon", "passed": true, "detail": "aggregate matches the closed form for all endpoints up to (5, 5)"}
+{"suite": "lemma", "passed": true, "detail": "9261 triples agree (both sides, closed form, telescoping)"}
+{"suite": "vandermonde", "passed": true, "detail": "all d, e <= 20 with f <= e + 1 agree"}
+{"suite": "children", "passed": true, "detail": "children tile every polytope up to n = 8 and parent inverts them"}
+{"suite": "det-identity", "passed": true, \
+"detail": "determinant equals the rising-factorial sum at 100 random points per n <= 6"}
+{"suite": "eq3", "passed": true, "detail": "two-coordinate reduction agrees for all v1, v2, y <= 6"}
+"""
+
+
+def test_verify_all_seed_7_golden(capsys):
+    assert run(capsys, "verify", "all", "--seed", "7") == (0, VERIFY_ALL_SEED_7, "")
+    assert run(capsys, "verify", "all", "--seed", "7", "--format", "json") == (0, VERIFY_ALL_SEED_7_JSON, "")
 
 
 def test_verify_all_under_optimize():

@@ -9,13 +9,11 @@ import pytest
 from pathcount.counting import enumerate_polytope
 from pathcount.exactmath import binom
 from pathcount.identities import (
+    CHECKS,
     check_children_partition,
-    check_eq3,
-    check_lemma,
     check_parent_child_box,
-    check_telescoping,
-    check_vandermonde,
     children,
+    disagreements,
     eq3_sides,
     lemma_closed,
     lemma_lhs,
@@ -75,6 +73,15 @@ def test_partition_counts_add_up():
         assert total == sum(1 for _ in enumerate_polytope((1,) * n))
 
 
+def test_disagreements_names_each_point_whose_sides_differ():
+    def sides(a, b):
+        return a + b, b + a, 2 * a
+
+    assert disagreements([(1, 1), (1, 2), (0, 0), (3, 0)], sides) == ["(1, 2): (3, 3, 2)", "(3, 0): (3, 3, 6)"]
+    assert disagreements([(4,), (5,)], lambda x: (x,)) == []
+    assert disagreements([], sides) == []
+
+
 def test_lemma_spot_values():
     assert lemma_lhs(1, 1, 1) == 2
     assert lemma_rhs(1, 1, 1) == 2
@@ -91,7 +98,8 @@ def test_lemma_spot_values():
 
 
 def test_lemma_exhaustive():
-    assert check_lemma(20) == []
+    # both sides, the closed form and the telescoped sum over [0, 20]^3
+    assert CHECKS["lemma"](0)[0] == []
 
 
 def test_telescoping():
@@ -99,7 +107,6 @@ def test_telescoping():
         for b in range(8):
             for c in range(8):
                 assert telescoped_sum(a, b, c) == lemma_closed(a, b, c)
-    assert check_telescoping(20) == []
 
 
 def test_vandermonde_spot_values():
@@ -114,13 +121,13 @@ def test_vandermonde_spot_values():
 
 
 def test_vandermonde_exhaustive():
-    assert check_vandermonde(20) == []
+    assert CHECKS["vandermonde"](0)[0] == []
 
 
 def test_eq3_spot_and_exhaustive():
     lhs, rhs = eq3_sides(1, 1, 1)
     assert lhs == rhs
-    assert check_eq3(6) == []
+    assert CHECKS["eq3"](0)[0] == []
 
 
 def test_eq3_reduction_matches_direct_expansion():

@@ -256,6 +256,22 @@ def test_evaluate_table_holds_only_present_exponents():
     assert evaluate(MonomialPolynomial({(0, 10**6): F(2), (3, 10**6 + 1): F(1)}, 2), (2, -1)) == -6
 
 
+def test_negative_exponents_are_refused():
+    # rising-factorial basis: refused where the polynomial is built, so evaluate and expand never see it
+    for exps in ((-1,), (0, -2), (3, 1, -1)):
+        with pytest.raises(ValueError, match=re.escape(f"exponent tuple {exps} has a negative entry")):
+            RFPolynomial((RFTerm(F(1), exps),), len(exps))
+    with pytest.raises(ValueError, match=re.escape("exponent tuple (-1,) has a negative entry")):
+        expand(RFPolynomial((RFTerm(F(1), (-1,)),), 1))
+    with pytest.raises(ValueError, match=re.escape("exponent tuple (-1,) has a negative entry")):
+        evaluate(RFPolynomial((RFTerm(F(1), (-1,)), RFTerm(F(1), (0,))), 1), (2,))
+    # monomial basis: refused by evaluate
+    with pytest.raises(ValueError, match=re.escape("exponent tuple (-1,) has a negative entry")):
+        evaluate(MonomialPolynomial({(-1,): F(1)}, 1), (2,))
+    with pytest.raises(ValueError, match=re.escape("exponent tuple (2, -3) has a negative entry")):
+        evaluate(MonomialPolynomial({(0, 0): F(1), (2, -3): F(5)}, 2), (2, 1))
+
+
 def test_evaluate_refuses_non_integer_value_under_optimize():
     # the non-integer check must survive python -O, which strips asserts
     src = os.path.dirname(os.path.dirname(pathcount.__file__))
