@@ -13,8 +13,8 @@ Five independent engines compute it:
   all-ones polytope, grouped by slack into a forward table of O(n^2)
   states (n capped at ``THEOREM_CAP``);
 * ``dp``          - column-by-column dynamic program directly over admissible
-  heights, kept deliberately naive as the oracle the others are checked
-  against.
+  heights, each column one running sum of the last; it takes any tuple of
+  bounds, monotone or not, and is the oracle the others are checked against.
 
 All engines agree on every input; the test suite and the ``verify`` CLI
 subcommand enforce this.  ``dp`` and ``recurrence`` refuse, through
@@ -166,19 +166,23 @@ def dp_oracle(p: Heights) -> int:
     """Count nondecreasing q with q_i <= p_i by a direct column sweep.
 
     Keeps, per column, the number of admissible prefixes ending at each
-    height; a running prefix sum advances one column in O(p_i) time.  The
+    height 0..p_i.  The next column is one running sum of the last: the
+    prefixes that may end at height h are those that ended at any height up
+    to h.  A column taller than the last holds the running total at every
+    new height; a shorter one keeps the first p_i + 1 running sums, which are
+    the running sums of that prefix.  So any tuple of integer bounds is
+    accepted, nondecreasing or not, and a negative one counts zero.  The
     terminal height is free (anything up to p_n).  This is the reference
-    implementation the fancier engines are validated against.
+    implementation the other engines are validated against.
     """
     ending = [1]  # before any column: the empty prefix, at height 0
     for bound in p:
-        acc = 0
-        nxt = []
-        for h in range(bound + 1):
-            if h < len(ending):
-                acc += ending[h]
-            nxt.append(acc)
-        ending = nxt
+        ending = list(accumulate(ending))
+        gap = bound + 1 - len(ending)
+        if gap > 0:
+            ending += ending[-1:] * gap  # an emptied column (a negative bound) stays empty
+        elif gap < 0:
+            del ending[gap:]
     return sum(ending)
 
 

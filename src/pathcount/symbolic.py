@@ -38,6 +38,15 @@ __all__ = [
 ]
 
 
+def _check_exponents(exps, nvars: int) -> None:
+    """Refuse an exponent tuple that does not have ``nvars`` entries or has a negative one."""
+    for e in exps:
+        if len(e) != nvars:
+            raise ValueError(f"exponent tuple {e} does not have {nvars} entries")
+    if min(chain.from_iterable(exps), default=0) < 0:  # one scan; a per-tuple min costs more
+        raise ValueError(f"exponent tuple {min(exps, key=min)} has a negative entry")
+
+
 class RFTerm(NamedTuple):
     """One rising-factorial term: coeff * prod_i v_{n+1-i}^(exponents[i])."""
 
@@ -54,11 +63,7 @@ class RFPolynomial(NamedTuple("_RFFields", [("terms", "tuple[RFTerm, ...]"), ("n
         exps = [t.exponents for t in terms]
         if not all(map(lt, exps, exps[1:])):
             raise ValueError("terms must be lexicographically sorted and distinct")
-        for e in exps:
-            if len(e) != nvars:
-                raise ValueError(f"exponent tuple {e} does not have {nvars} entries")
-        if min(chain.from_iterable(exps), default=0) < 0:
-            raise ValueError(f"exponent tuple {min(exps, key=min)} has a negative entry")
+        _check_exponents(exps, nvars)
         return super().__new__(cls, terms, nvars)
 
     @classmethod
@@ -66,11 +71,24 @@ class RFPolynomial(NamedTuple("_RFFields", [("terms", "tuple[RFTerm, ...]"), ("n
         return cls(*iterable)
 
 
-class MonomialPolynomial(NamedTuple):
-    """Map from natural-order exponent tuples to nonzero rational coefficients."""
+class MonomialPolynomial(
+    NamedTuple("_MonomialFields", [("coeffs", "dict[tuple[int, ...], Fraction]"), ("nvars", int)])
+):
+    """Map from natural-order exponent tuples to nonzero rational coefficients.
 
-    coeffs: dict[tuple[int, ...], Fraction]
-    nvars: int
+    Every tuple has ``nvars`` nonnegative entries.  ``coeffs`` is a plain dict,
+    checked once here: it must not be changed after construction.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, coeffs: dict[tuple[int, ...], Fraction], nvars: int):
+        _check_exponents(coeffs, nvars)
+        return super().__new__(cls, coeffs, nvars)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through here; keep the checks
+        return cls(*iterable)
 
 
 def check_nvars(n: int) -> None:
@@ -145,8 +163,8 @@ def evaluate(poly: RFPolynomial | MonomialPolynomial, v: Diffs) -> Fraction:
     exponents present in its column (rising factorials of the reversed ``v``
     for the rising-factorial basis, powers of ``v`` for the monomial one), and
     one division ends it.  These polynomials take integer values at integer
-    points; a non-integer value raises ``ArithmeticError``, and a negative
-    exponent raises ``ValueError`` naming its exponent tuple.
+    points; a non-integer value raises ``ArithmeticError``.  Both bases
+    refuse a negative exponent, or a tuple of the wrong length, when built.
     """
     from fractions import Fraction
     v = as_integers(v, "value")
@@ -166,10 +184,7 @@ def evaluate(poly: RFPolynomial | MonomialPolynomial, v: Diffs) -> Fraction:
     # one iterator per factor of a term's integer summand, zipped and multiplied term by term
     factors = []
     for base, column in zip(bases, zip(*exps)):
-        present = set(column)
-        if min(present) < 0:
-            raise ValueError(f"exponent tuple {min(exps, key=min)} has a negative entry")
-        table = {e: power(base, e) for e in present}
+        table = {e: power(base, e) for e in set(column)}
         factors.append(map(table.__getitem__, column))
     factors += [map(scale.__getitem__, dens), [c.numerator for c in coeffs]]
     total = Fraction(sum(map(prod, zip(*factors))), common)

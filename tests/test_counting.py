@@ -314,6 +314,29 @@ def test_dp_oracle_against_brute_force():
             assert dp_oracle(p) == brute_restricted_count(p)
 
 
+def test_dp_oracle_takes_any_bound_tuple():
+    # a bound lower than the one before cuts the column to its first bound + 1 running sums
+    assert dp_oracle((3, 1)) == brute_restricted_count((3, 1)) == 3
+    for n in range(5):
+        for p in product(range(5), repeat=n):
+            assert dp_oracle(p) == brute_restricted_count(p), p
+
+
+def test_dp_oracle_at_benchmark_sizes():
+    # columns that grow by hundreds or thousands of heights at a step, or repeat their height
+    rng = random.Random(11)
+    paths = (
+        tuple(sorted(rng.randint(0, 20) for _ in range(4000))),  # long-low
+        tuple(sorted(rng.randint(0, 10**4) for _ in range(20))),  # short-tall
+        (200,) * 200,  # rectangle
+        tuple(range(1, 301)),  # staircase
+    )
+    for p in paths:
+        assert dp_oracle(p) == count_recurrence(delta(p)), p[:3]
+    assert dp_oracle((200,) * 200) == binom(400, 200)
+    assert dp_oracle(tuple(range(1, 301))) == catalan(301)
+
+
 # --- engine dispatch and cross-checks --------------------------------------
 
 

@@ -101,6 +101,21 @@ def test_rfpolynomial_rejects_disorder():
         RFPolynomial((RFTerm(F(1), (0, 0)),), 1)
 
 
+def test_monomial_polynomial_refuses_a_short_exponent_tuple():
+    # evaluate used to zip the terms down to the shortest tuple and return 6
+    with pytest.raises(ValueError, match=re.escape("exponent tuple (1,) does not have 2 entries")):
+        evaluate(MonomialPolynomial({(1,): F(1), (1, 2): F(1)}, 2), (3, 5))
+
+
+def test_monomial_polynomial_refuses_a_long_exponent_tuple():
+    # evaluate used to drop the third exponent and return 3 * 5**2 = 75
+    with pytest.raises(ValueError, match=re.escape("exponent tuple (1, 2, 7) does not have 2 entries")):
+        evaluate(MonomialPolynomial({(1, 2, 7): F(1)}, 2), (3, 5))
+    mono = MonomialPolynomial({(1, 2): F(1)}, 2)
+    with pytest.raises(ValueError, match=re.escape("exponent tuple (1, 2) does not have 3 entries")):
+        mono._replace(nvars=3)
+
+
 def test_records_compare_by_value_and_are_immutable():
     rf, mono, kids = symbolic_lp(4), expand(symbolic_lp(3)), children((1, 2))
     assert (rf, mono, kids) == (symbolic_lp(4), expand(symbolic_lp(3)), children((1, 2)))
