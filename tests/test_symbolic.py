@@ -102,13 +102,13 @@ def test_rfpolynomial_rejects_disorder():
 
 
 def test_monomial_polynomial_refuses_a_short_exponent_tuple():
-    # evaluate used to zip the terms down to the shortest tuple and return 6
+    # unchecked, evaluate zips every term down to the shortest tuple and returns 6
     with pytest.raises(ValueError, match=re.escape("exponent tuple (1,) does not have 2 entries")):
         evaluate(MonomialPolynomial({(1,): F(1), (1, 2): F(1)}, 2), (3, 5))
 
 
 def test_monomial_polynomial_refuses_a_long_exponent_tuple():
-    # evaluate used to drop the third exponent and return 3 * 5**2 = 75
+    # unchecked, evaluate drops the third exponent and returns 3 * 5**2 = 75
     with pytest.raises(ValueError, match=re.escape("exponent tuple (1, 2, 7) does not have 2 entries")):
         evaluate(MonomialPolynomial({(1, 2, 7): F(1)}, 2), (3, 5))
     mono = MonomialPolynomial({(1, 2): F(1)}, 2)
