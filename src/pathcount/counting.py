@@ -24,8 +24,8 @@ subcommand enforce this.  ``dp`` and ``recurrence`` refuse, through
 
 from __future__ import annotations
 
-from itertools import accumulate, combinations_with_replacement, product
-from math import comb, prod
+from itertools import accumulate, combinations_with_replacement
+from math import comb
 from typing import Iterator
 
 from .exactmath import det_int, factorial
@@ -33,7 +33,6 @@ from .paths import Diffs, Heights, Point, delta, sigma, validate_diffs, validate
 
 # longest path the theorem engine takes; its table then makes at most 665 binomial products
 THEOREM_CAP = 14
-DEFAULT_MONOMIAL_CAP = 10**6
 # longest column, in integers, that the dp and recurrence engines may build;
 # two such columns of big integers stay within a few hundred megabytes
 MAX_COLUMN = 10**7
@@ -220,22 +219,6 @@ def macmahon_bruteforce(n: int, m: int) -> int:
     fixed-endpoint count.
     """
     return sum(dp_oracle(p) for p in combinations_with_replacement(range(m + 1), n))
-
-
-def monomial_oracle(p: Heights, cap: int = DEFAULT_MONOMIAL_CAP) -> int:
-    """Count distinct monomials of prod_i (a_1 + ... + a_{p_i + 1}) by expansion.
-
-    Exhausts all prod(p_i + 1) index choices and collects them as multisets;
-    capped, and kept only as an independent small-scale check on the path
-    counters.
-    """
-    total = prod(x + 1 for x in p)
-    if total > cap:
-        raise CapacityError(f"monomial oracle capacity exceeded: {total} choices is over the cap {cap}")
-    seen = set()
-    for choice in product(*(range(1, x + 2) for x in p)):
-        seen.add(tuple(sorted(choice)))
-    return len(seen)
 
 
 def _column_refusal(engine: str, length: int) -> CapacityError:

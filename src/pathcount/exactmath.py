@@ -14,7 +14,6 @@ import math
 __all__ = [
     "binom",
     "catalan",
-    "det_cofactor",
     "det_int",
     "factorial",
     "rising_factorial",
@@ -58,27 +57,6 @@ def catalan(n: int) -> int:
     if n < 0:
         raise ValueError(f"Catalan index {n} is negative")
     return math.comb(2 * n, n) // (n + 1)
-
-
-def det_cofactor(a: list[list[int]]) -> int:
-    """Determinant by cofactor expansion along the first row.
-
-    Exponential in the size; meant for small matrices and as an independent
-    check on :func:`det_int`.
-    """
-    n = len(a)
-    if n == 0:
-        return 1
-    if n == 1:
-        return a[0][0]
-    total = 0
-    for j, head in enumerate(a[0]):
-        if head == 0:
-            continue
-        minor = [row[:j] + row[j + 1:] for row in a[1:]]
-        term = head * det_cofactor(minor)
-        total += term if j % 2 == 0 else -term
-    return total
 
 
 def _exact_div(num: int, den: int) -> int:

@@ -4,10 +4,10 @@ The children/parent correspondence ties the lattice points of consecutive
 all-ones polytopes together; the summation lemma, its telescoping half and
 the generalized Vandermonde identity are what make the correspondence count
 correctly.  Each identity is exposed as plain functions that compute its
-sides.  ``CHECKS`` lists the suites of ``pathcount verify``: five run one
-:func:`disagreements` loop over a box of points, the children and
-determinant-identity suites have their own checks, and every suite returns
-its counterexample descriptions (empty = pass).
+sides.  ``CHECKS`` lists the suites of ``pathcount verify``: every suite runs
+:func:`disagreements` over its points (the children suite three times: parent
+inverts children, the children tile each polytope, and dimension 1 has the
+empty parent) and returns its counterexample descriptions (empty = pass).
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ import random
 from itertools import combinations_with_replacement, product
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .counting import ENGINES, count, enumerate_polytope, macmahon_bruteforce, macmahon_total
+from .counting import ENGINES, count, count_determinant, enumerate_polytope, macmahon_bruteforce, macmahon_total
 from .exactmath import binom
-from .paths import Heights, Point
-from .symbolic import verify_det_identity
+from .paths import Diffs, Heights, Point, sigma
+from .symbolic import evaluate, symbolic_lp
 
 
 class ChildSet(NamedTuple):
@@ -39,10 +39,8 @@ def children(y: Point) -> ChildSet:
     if len(y) == 0:
         raise ValueError("children of the empty point are undefined")
     y = tuple(y)
-    last = y[-1]
-    kids = [y + (0,)]
-    kids.extend(y[:-1] + (last - i, i + 1) for i in range(last + 1))
-    return ChildSet(y, tuple(kids))
+    head, last = y[:-1], y[-1]
+    return ChildSet(y, (y + (0,), *[head + (last - i, i + 1) for i in range(last + 1)]))
 
 
 def parent(x: Point) -> Point:
@@ -54,6 +52,27 @@ def parent(x: Point) -> Point:
     if len(x) == 1:
         return ()
     return x[:-2] + (x[-2] + x[-1] - 1,)
+
+
+def children_points() -> Iterator[Point]:
+    """Every point with entries <= 6 and length 1..6, then the all-ones polytope points of dimension 1..7."""
+    for k in range(1, 7):
+        yield from product(range(7), repeat=k)
+    for n in range(1, 8):
+        yield from enumerate_polytope((1,) * n)
+
+
+def tiling_counts(n: int) -> tuple[int, int, int]:
+    """The points of the all-ones polytope of dimension n >= 2, the children of
+    the points one dimension down, and how many distinct points of dimension n
+    are among those children.
+
+    The three agree exactly when the children tile the polytope: no child is
+    repeated and none falls outside it.
+    """
+    points = set(enumerate_polytope((1,) * n))
+    kids = [x for y in enumerate_polytope((1,) * (n - 1)) for x in children(y).children]
+    return len(points), len(kids), len(points.intersection(kids))
 
 
 def lemma_lhs(a: int, b: int, c: int) -> int:
@@ -114,41 +133,12 @@ def disagreements(points: Iterable[tuple], sides: Callable[..., tuple]) -> list[
     return bad
 
 
-def check_children_partition(max_n: int = 8) -> list[str]:
-    """Children of the all-ones polytope points one dimension down must tile
-    the polytope exactly, each child recovering its parent."""
-    bad = []
-    for n in range(1, max_n + 1):
-        points = set(enumerate_polytope((1,) * n))
-        if n == 1:
-            for x in points:
-                if parent(x) != ():
-                    bad.append(f"n=1: parent({x}) != ()")
-            continue
-        owner: dict[Point, Point] = {}
-        for y in enumerate_polytope((1,) * (n - 1)):
-            for child in children(y).children:
-                if parent(child) != y:
-                    bad.append(f"parent({child}) != {y}")
-                if child in owner:
-                    bad.append(f"{child} is a child of both {owner[child]} and {y}")
-                owner[child] = y
-        if set(owner) != points:
-            missing = points - set(owner)
-            extra = set(owner) - points
-            bad.append(f"n={n}: tiling is off ({len(missing)} missing, {len(extra)} extra)")
-    return bad
-
-
-def check_parent_child_box(max_entry: int = 6, max_len: int = 6) -> list[str]:
-    """parent(children(y)) == y for every y with bounded entries and length."""
-    bad = []
-    for k in range(1, max_len + 1):
-        for y in product(range(max_entry + 1), repeat=k):
-            for child in children(y).children:
-                if parent(child) != y:
-                    bad.append(f"parent({child}) != {y}")
-    return bad
+def det_identity_points(seed: int) -> Iterator[Diffs]:
+    """100 difference vectors with entries in [0, 50] for each n <= 6, drawn by ``Random(seed * 31 + n)``."""
+    for n in range(7):
+        rng = random.Random(seed * 31 + n)
+        for _ in range(100):
+            yield tuple(rng.randint(0, 50) for _ in range(n))
 
 
 def cross_engine_paths(seed: int) -> Iterator[Heights]:
@@ -163,15 +153,6 @@ def cross_engine_paths(seed: int) -> Iterator[Heights]:
     for _ in range(60):
         n = rng.randint(0, 9)
         yield tuple(sorted(rng.randint(0, 40) for _ in range(n)))
-
-
-def check_det_identity(max_n: int = 6, trials: int = 100, seed: int = 0) -> list[str]:
-    """The symbolic determinant identity at ``trials`` random points per n <= max_n."""
-    return [
-        f"determinant identity failed at n = {n}"
-        for n in range(max_n + 1)
-        if not verify_det_identity(n, trials, seed=seed * 31 + n)
-    ]
 
 
 # verify suite name -> check(seed) -> (counterexamples, summary of a pass)
@@ -190,10 +171,14 @@ CHECKS: dict[str, Callable[[int], tuple[list[str], str]]] = {
         disagreements(((d, e, f) for d, e in product(range(21), repeat=2) for f in range(e + 2)), vandermonde_gen),
         "all d, e <= 20 with f <= e + 1 agree"),
     "children": lambda seed: (
-        check_children_partition(8) + check_parent_child_box(6, 6),
+        disagreements(children_points(), lambda *y: (y, *map(parent, children(y).children)))
+        + disagreements(((n,) for n in range(2, 9)), tiling_counts)
+        + disagreements(enumerate_polytope((1,)), lambda *x: (parent(x), ())),
         "children tile every polytope up to n = 8 and parent inverts them"),
     "det-identity": lambda seed: (
-        check_det_identity(6, 100, seed), "determinant equals the rising-factorial sum at 100 random points per n <= 6"),
+        disagreements(det_identity_points(seed), lambda *v, polys=[symbolic_lp(n) for n in range(7)]: (
+            evaluate(polys[len(v)], v), count_determinant(sigma(v)))),
+        "determinant equals the rising-factorial sum at 100 random points per n <= 6"),
     "eq3": lambda seed: (
         disagreements(product(range(7), repeat=3), eq3_sides), "two-coordinate reduction agrees for all v1, v2, y <= 6"),
 }

@@ -11,15 +11,14 @@ expansions store exponents in natural v_1..v_n order instead.
 
 from __future__ import annotations
 
-import random
 from itertools import chain, product
 from math import lcm, prod
 from operator import lt
 from typing import NamedTuple
 
-from .counting import CapacityError, count_determinant, enumerate_polytope
+from .counting import CapacityError, enumerate_polytope
 from .exactmath import catalan, factorial, rising_factorial
-from .paths import Diffs, as_integers, sigma
+from .paths import Diffs, as_integers
 
 # largest n that symbolic_lp expands: C_13 = 742 900 stored terms, about 300 MB
 SYMBOLIC_CAP = 12
@@ -34,7 +33,6 @@ __all__ = [
     "serialize",
     "symbolic_lp",
     "term_items",
-    "verify_det_identity",
 ]
 
 
@@ -191,22 +189,6 @@ def evaluate(poly: RFPolynomial | MonomialPolynomial, v: Diffs) -> Fraction:
     if total.denominator != 1:
         raise ArithmeticError(f"count polynomial evaluated to the non-integer {total}")
     return total
-
-
-def verify_det_identity(n: int, trials: int, seed: int | None = None) -> bool:
-    """Spot-check det[binom(p_i + 1, j - i + 1)] against the rising-factorial sum.
-
-    Evaluates both sides at ``trials`` random difference vectors with entries
-    in [0, 50].  Both sides are polynomials of total degree at most n, so
-    agreement on enough random points is the usual randomized identity check.
-    """
-    rng = random.Random(seed)
-    poly = symbolic_lp(n)
-    for _ in range(max(1, trials)):
-        v = tuple(rng.randint(0, 50) for _ in range(n))
-        if evaluate(poly, v) != count_determinant(sigma(v)):
-            return False
-    return True
 
 
 def term_items(poly: RFPolynomial | MonomialPolynomial) -> list[tuple[tuple[int, ...], Fraction]]:

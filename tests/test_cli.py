@@ -6,8 +6,11 @@ import argparse
 import json
 import math
 import os
+import random
+import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -15,7 +18,7 @@ import pathcount
 from pathcount import cli, identities, symbolic
 from pathcount.counting import ENGINES, dp_oracle
 from pathcount.identities import CHECKS
-from pathcount.paths import parse_path_spec
+from pathcount.paths import parse_path_spec, sigma
 
 
 def run(capsys, *argv):
@@ -309,6 +312,16 @@ def test_package_namespace_is_eager():
     assert missing == "[]"
 
 
+def test_benchmark_uses_only_the_public_namespace():
+    # perfbench calls the library as pc.<name>, with pc built from vars(pathcount) plus cli.main;
+    # removing a name from the public API must not break it unnoticed
+    workloads = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
+    with open(workloads, encoding="utf-8") as f:
+        used = set(re.findall(r"\bpc\.(\w+)", f.read()))
+    assert "count" in used
+    assert sorted(used - set(pathcount.__all__) - {"main"}) == []
+
+
 def test_enumerate_json(capsys):
     code, out, _ = run(capsys, "enumerate", "h:1,1", "--format", "json")
     assert code == 0
@@ -435,6 +448,45 @@ def test_verify_reports_the_point_where_a_real_row_fails(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "macmahon")
     assert code == 1
     assert out == f"macmahon: FAIL ({counterexample})\n"
+
+
+def test_verify_children_names_the_point_whose_child_has_a_wrong_parent(capsys, monkeypatch):
+    # parent is wrong at (0, 3, 1, 2) only, one of the four children of (0, 3, 2); the row must name (0, 3, 2)
+    real = identities.parent
+    monkeypatch.setattr(identities, "parent", lambda x: (9,) if x == (0, 3, 1, 2) else real(x))
+    y = (0, 3, 2)
+    counterexample = f"{y}: {(y, y, y, (9,), y)}"
+    assert CHECKS["children"](0)[0] == [counterexample]
+    code, out, _ = run(capsys, "verify", "children")
+    assert code == 1
+    assert out == f"children: FAIL ({counterexample})\n"
+
+
+def test_verify_children_reports_three_counts_when_a_child_is_dropped(capsys, monkeypatch):
+    # (0, 1) loses its child (0, 0, 2): dimension 3 has 14 points, but gets 13 children, all distinct
+    real = identities.children
+    monkeypatch.setattr(
+        identities, "children", lambda y: real(y)._replace(children=real(y).children[:-1]) if y == (0, 1) else real(y)
+    )
+    assert CHECKS["children"](0)[0] == ["(3,): (14, 13, 13)"]
+    code, out, _ = run(capsys, "verify", "children")
+    assert code == 1
+    assert out == "children: FAIL ((3,): (14, 13, 13))\n"
+
+
+def test_verify_det_identity_names_each_v_where_the_determinant_is_off(capsys, monkeypatch):
+    # the determinant is off by one at n = 4 only; the row must name every one of the 100 vectors drawn there
+    real = identities.count_determinant
+    monkeypatch.setattr(identities, "count_determinant", lambda p: real(p) + (len(p) == 4))
+    rng = random.Random(0 * 31 + 4)
+    drawn = [tuple(rng.randint(0, 50) for _ in range(4)) for _ in range(100)]
+    bad = CHECKS["det-identity"](0)[0]
+    assert [line.partition(": ")[0] for line in bad] == [str(v) for v in drawn]
+    want = real(sigma(drawn[0]))
+    assert bad[0] == f"{drawn[0]}: {(Fraction(want), want + 1)}"
+    code, out, _ = run(capsys, "verify", "det-identity")
+    assert code == 1
+    assert out == f"det-identity: FAIL ({bad[0]})\n"
 
 
 VERIFY_ALL_SEED_7 = """\

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+from math import prod
 from unittest import mock
 
 import pytest
@@ -29,7 +30,6 @@ from pathcount.counting import (
     enumerate_restricted,
     macmahon_bruteforce,
     macmahon_total,
-    monomial_oracle,
 )
 from pathcount.exactmath import binom, catalan, det_int
 from pathcount.paths import delta, in_polytope, is_restricted_by, sigma
@@ -210,6 +210,22 @@ def test_triangular_short_tall_paths():
         assert count_triangular(p) == count_determinant(p)
     p = (10**30,) * 40
     assert count_triangular(p) == binom(10**30 + 40, 40)
+
+
+def monomial_oracle(p, cap=10**6):
+    """Count distinct monomials of prod_i (a_1 + ... + a_{p_i + 1}) by expansion.
+
+    Exhausts all prod(p_i + 1) index choices and collects them as multisets;
+    capped, and kept only as an independent small-scale check on the path
+    counters.
+    """
+    total = prod(x + 1 for x in p)
+    if total > cap:
+        raise CapacityError(f"monomial oracle capacity exceeded: {total} choices is over the cap {cap}")
+    seen = set()
+    for choice in product(*(range(1, x + 2) for x in p)):
+        seen.add(tuple(sorted(choice)))
+    return len(seen)
 
 
 def theorem_walk(p):

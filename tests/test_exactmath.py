@@ -16,11 +16,27 @@ import pathcount
 from pathcount.exactmath import (
     binom,
     catalan,
-    det_cofactor,
     det_int,
     factorial,
     rising_factorial,
 )
+
+
+def det_cofactor(a):
+    """Independent oracle: cofactor expansion along the first row."""
+    n = len(a)
+    if n == 0:
+        return 1
+    if n == 1:
+        return a[0][0]
+    total = 0
+    for j, head in enumerate(a[0]):
+        if head == 0:
+            continue
+        minor = [row[:j] + row[j + 1:] for row in a[1:]]
+        term = head * det_cofactor(minor)
+        total += term if j % 2 == 0 else -term
+    return total
 
 
 def det_leibniz(a):

@@ -10,8 +10,6 @@ from pathcount.counting import enumerate_polytope
 from pathcount.exactmath import binom
 from pathcount.identities import (
     CHECKS,
-    check_children_partition,
-    check_parent_child_box,
     children,
     disagreements,
     eq3_sides,
@@ -55,14 +53,6 @@ def test_parent_examples():
     assert parent((0,)) == ()
     with pytest.raises(ValueError):
         parent(())
-
-
-def test_parent_inverts_children_on_box():
-    assert check_parent_child_box(6, 6) == []
-
-
-def test_children_partition_all_ones_polytopes():
-    assert check_children_partition(8) == []
 
 
 def test_partition_counts_add_up():

@@ -26,7 +26,6 @@ from pathcount.symbolic import (
     expand,
     serialize,
     symbolic_lp,
-    verify_det_identity,
 )
 
 F = Fraction
@@ -305,12 +304,6 @@ def test_evaluate_refuses_non_integer_value_under_optimize():
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60)
     assert proc.returncode == 0
-
-
-def test_verify_det_identity():
-    assert verify_det_identity(0, 1)
-    assert verify_det_identity(1, 5, seed=1)
-    assert verify_det_identity(3, 100, seed=2)
 
 
 def test_serialize_golden_n2():
