@@ -44,9 +44,10 @@ def children(y: Point) -> ChildSet:
 
 
 def parent(x: Point) -> Point:
-    """The unique point whose children include ``x``."""
+    """The unique point whose children include ``x``; any sequence of integers will do."""
     if len(x) == 0:
         raise ValueError("the empty point has no parent")
+    x = tuple(x)
     if x[-1] == 0:
         return x[:-1]
     if len(x) == 1:

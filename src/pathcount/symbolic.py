@@ -11,6 +11,7 @@ expansions store exponents in natural v_1..v_n order instead.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import chain, product
 from math import lcm, prod
 from operator import lt
@@ -53,9 +54,11 @@ class RFTerm(NamedTuple):
 
 
 class RFPolynomial(NamedTuple("_RFFields", [("terms", "tuple[RFTerm, ...]"), ("nvars", int)])):
-    """Rising-factorial terms in lexicographic exponent order, all distinct and nonnegative."""
+    """Rising-factorial terms in lexicographic exponent order, all distinct and nonnegative.
 
-    __slots__ = ()
+    No ``__slots__``: the instance dict holds the cached ``_form``.  Every
+    field is immutable, so the cache cannot go stale.
+    """
 
     def __new__(cls, terms: tuple[RFTerm, ...], nvars: int):
         exps = [t.exponents for t in terms]
@@ -68,6 +71,13 @@ class RFPolynomial(NamedTuple("_RFFields", [("terms", "tuple[RFTerm, ...]"), ("n
     def _make(cls, iterable):  # _replace builds through here; keep the checks
         return cls(*iterable)
 
+    def __getstate__(self):  # pickle the fields only, never the cached form
+        return None
+
+    @cached_property
+    def _form(self):
+        return _integer_form([t.exponents for t in self.terms], [t.coeff for t in self.terms])
+
 
 class MonomialPolynomial(
     NamedTuple("_MonomialFields", [("coeffs", "dict[tuple[int, ...], Fraction]"), ("nvars", int)])
@@ -75,7 +85,10 @@ class MonomialPolynomial(
     """Map from natural-order exponent tuples to nonzero rational coefficients.
 
     Every tuple has ``nvars`` nonnegative entries.  ``coeffs`` is a plain dict,
-    checked once here: it must not be changed after construction.
+    checked once here: it must not be changed after construction.  Unlike
+    ``RFPolynomial``, this class caches no evaluation form: a cache could not
+    see a change to the dict, and a monomial polynomial is seldom evaluated
+    often enough for the form to matter.
     """
 
     __slots__ = ()
@@ -87,6 +100,20 @@ class MonomialPolynomial(
     @classmethod
     def _make(cls, iterable):  # _replace builds through here; keep the checks
         return cls(*iterable)
+
+
+def _integer_form(exps, coeffs) -> tuple[list[tuple[tuple[int, ...], set[int]]], int, list[int]]:
+    """What ``evaluate`` needs of the terms ``zip(exps, coeffs)``.
+
+    Returns each exponent column with the set of exponents in it, the lcm of
+    the coefficient denominators, and each coefficient's numerator scaled to
+    that lcm.
+    """
+    dens = {c.denominator for c in coeffs}
+    common = lcm(*dens)
+    scale = {d: common // d for d in dens}
+    numerators = [c.numerator * scale[c.denominator] for c in coeffs]
+    return [(column, set(column)) for column in zip(*exps)], common, numerators
 
 
 def check_nvars(n: int) -> None:
@@ -106,10 +133,13 @@ def symbolic_lp(n: int) -> RFPolynomial:
     """
     from fractions import Fraction
     check_nvars(n)
+    shared: dict[int, Fraction] = {}  # one Fraction per denominator: 27 of them for the 16 796 terms at n = 9
     terms = []
     for x in enumerate_polytope((1,) * n):
-        coeff = Fraction(1, prod(factorial(e) for e in x))
-        terms.append(RFTerm(coeff, x))
+        den = prod(map(factorial, x))
+        if den not in shared:
+            shared[den] = Fraction(1, den)
+        terms.append(RFTerm(shared[den], x))
     if len(terms) != catalan(n + 1):
         raise RuntimeError(f"{len(terms)} terms for n = {n}, expected the Catalan number C_{n + 1}")
     return RFPolynomial(tuple(terms), n)
@@ -128,27 +158,26 @@ def _rf_coeffs(m: int) -> list[int]:
 
 
 def expand(rf: RFPolynomial) -> MonomialPolynomial:
-    """Rewrite into the plain monomial basis, variables in natural v_1..v_n order."""
+    """Rewrite into the plain monomial basis, variables in natural v_1..v_n order.
+
+    The sum is taken over the integers: each term's numerator scaled to the
+    lcm of the denominators, one ``Fraction`` per monomial at the end.
+    """
     from fractions import Fraction
-    n = rf.nvars
-    out: dict[tuple[int, ...], Fraction] = {}
-    for term in rf.terms:
-        # factor i acts on variable v_{n-i} (0-based); collect per-variable
-        # univariate expansions in natural order
-        per_var = [[1]] * n
-        for i, m in enumerate(term.exponents):
-            per_var[n - 1 - i] = _rf_coeffs(m)
-        for degrees in product(*(range(len(c)) for c in per_var)):
-            scale = 1
-            for coeffs, d in zip(per_var, degrees):
-                scale *= coeffs[d]
-                if scale == 0:
-                    break
-            if scale == 0:
-                continue
-            out[degrees] = out.get(degrees, Fraction(0)) + term.coeff * scale
-    pruned = {e: c for e, c in out.items() if c != 0}
-    return MonomialPolynomial(pruned, n)
+    columns, common, numerators = rf._form
+    # the degrees and the coefficients of the nonzero entries of _rf_coeffs(m), for each exponent m present
+    nonzero = {}
+    for m in set().union(*(present for _, present in columns)):
+        c = _rf_coeffs(m)
+        nonzero[m] = [d for d in range(m + 1) if c[d]], [x for x in c if x]
+    out: dict[tuple[int, ...], int] = {}
+    for term, num in zip(rf.terms, numerators):
+        # factor i acts on variable v_{n-i} (0-based), so the reversed
+        # exponents give the per-variable expansions in natural order
+        per_var = [nonzero[m] for m in reversed(term.exponents)]
+        for e, f in zip(product(*[d for d, _ in per_var]), product(*[c for _, c in per_var])):
+            out[e] = out.get(e, 0) + num * prod(f)
+    return MonomialPolynomial({e: Fraction(c, common) for e, c in out.items() if c}, rf.nvars)
 
 
 def evaluate(poly: RFPolynomial | MonomialPolynomial, v: Diffs) -> Fraction:
@@ -160,8 +189,10 @@ def evaluate(poly: RFPolynomial | MonomialPolynomial, v: Diffs) -> Fraction:
     variable multiplies in its factors column by column from a table of the
     exponents present in its column (rising factorials of the reversed ``v``
     for the rising-factorial basis, powers of ``v`` for the monomial one), and
-    one division ends it.  These polynomials take integer values at integer
-    points; a non-integer value raises ``ArithmeticError``.  Both bases
+    one division ends it.  The columns, the lcm and the scaled numerators are
+    built once per ``RFPolynomial``, on its first evaluation, and on every call
+    for a ``MonomialPolynomial``.  These polynomials take integer values at
+    integer points; a non-integer value raises ``ArithmeticError``.  Both bases
     refuse a negative exponent, or a tuple of the wrong length, when built.
     """
     from fractions import Fraction
@@ -169,22 +200,16 @@ def evaluate(poly: RFPolynomial | MonomialPolynomial, v: Diffs) -> Fraction:
     if len(v) != poly.nvars:
         raise ValueError(f"expected {poly.nvars} values, got {len(v)}")
     if isinstance(poly, RFPolynomial):
-        exps = [t.exponents for t in poly.terms]
-        coeffs = [t.coeff for t in poly.terms]
-        bases, power = v[::-1], rising_factorial
+        form, bases, power = poly._form, v[::-1], rising_factorial
     else:
-        exps = list(poly.coeffs)
-        coeffs = list(poly.coeffs.values())
-        bases, power = v, pow
-    dens = [c.denominator for c in coeffs]
-    common = lcm(*set(dens))
-    scale = {d: common // d for d in set(dens)}
+        form, bases, power = _integer_form(poly.coeffs, poly.coeffs.values()), v, pow
+    columns, common, numerators = form
     # one iterator per factor of a term's integer summand, zipped and multiplied term by term
-    factors = []
-    for base, column in zip(bases, zip(*exps)):
-        table = {e: power(base, e) for e in set(column)}
-        factors.append(map(table.__getitem__, column))
-    factors += [map(scale.__getitem__, dens), [c.numerator for c in coeffs]]
+    factors = [
+        map({e: power(base, e) for e in present}.__getitem__, column)
+        for base, (column, present) in zip(bases, columns)
+    ]
+    factors.append(numerators)
     total = Fraction(sum(map(prod, zip(*factors))), common)
     if total.denominator != 1:
         raise ArithmeticError(f"count polynomial evaluated to the non-integer {total}")

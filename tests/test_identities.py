@@ -55,6 +55,17 @@ def test_parent_examples():
         parent(())
 
 
+def test_parent_takes_lists_and_tuples_as_children_does():
+    for x, expected in (((1, 2), (2,)), ((3, 0), (3,)), ((0, 3, 1, 2), (0, 3, 2)), ((4,), ())):
+        for arg in (x, list(x)):
+            got = parent(arg)
+            assert type(got) is tuple and got == expected
+    for y in ((0,), (2,), (1, 3)):
+        assert all(parent(list(x)) == y for x in children(list(y)).children)
+    with pytest.raises(ValueError):
+        parent([])
+
+
 def test_partition_counts_add_up():
     # sizes of the child sets over one level must sum to the next level's count
     for n in range(2, 7):

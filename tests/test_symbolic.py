@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import pickle
 import random
 import re
 import subprocess
@@ -22,6 +23,7 @@ from pathcount.symbolic import (
     MonomialPolynomial,
     RFPolynomial,
     RFTerm,
+    _rf_coeffs,
     evaluate,
     expand,
     serialize,
@@ -215,6 +217,26 @@ def fraction_sum_evaluate(poly, v):
     return total
 
 
+def fraction_expand(rf):
+    """Test-side oracle: the per-term ``Fraction`` loop that ``expand`` replaced; returns the coefficient dict."""
+    n = rf.nvars
+    out = {}
+    for term in rf.terms:
+        per_var = [[1]] * n
+        for i, m in enumerate(term.exponents):
+            per_var[n - 1 - i] = _rf_coeffs(m)
+        for degrees in product(*(range(len(c)) for c in per_var)):
+            scale = 1
+            for coeffs, d in zip(per_var, degrees):
+                scale *= coeffs[d]
+                if scale == 0:
+                    break
+            if scale == 0:
+                continue
+            out[degrees] = out.get(degrees, Fraction(0)) + term.coeff * scale
+    return {e: c for e, c in out.items() if c != 0}
+
+
 def random_polynomials(rng, cases):
     """Random polynomials of both bases, ``nvars = 0`` and the empty one included."""
     for i in range(cases):
@@ -250,6 +272,71 @@ def test_evaluate_matches_fraction_sum_oracle():
         for poly in (rf, expand(rf)):
             v = tuple(rng.randint(-8, 20) for _ in range(n))
             assert evaluate(poly, v) == fraction_sum_evaluate(poly, v)
+
+
+def test_expand_matches_fraction_expand_oracle():
+    for n in range(8):
+        rf = symbolic_lp(n)
+        mono = expand(rf)
+        expected = fraction_expand(rf)
+        assert mono.coeffs.keys() == expected.keys() and mono.coeffs == expected
+        assert all(type(c) is Fraction for c in mono.coeffs.values())
+    rng = random.Random(4048)
+    rfs = [poly for poly in random_polynomials(rng, 400) if isinstance(poly, RFPolynomial)]
+    assert any(t.coeff == 0 for rf in rfs for t in rf.terms)
+    assert any(t.coeff < 0 for rf in rfs for t in rf.terms)
+    assert {rf.nvars for rf in rfs} == set(range(5)) and any(not rf.terms for rf in rfs)
+    for rf in rfs:
+        mono = expand(rf)
+        assert mono.nvars == rf.nvars
+        assert mono.coeffs.keys() == fraction_expand(rf).keys() and mono.coeffs == fraction_expand(rf)
+
+
+def test_evaluate_reuses_the_form_of_one_polynomial():
+    rf = symbolic_lp(6)
+    rng = random.Random(77)
+    points = [(0,) * 6, (-3, 2, -1, 0, 5, -7)] + [tuple(rng.randint(-9, 12) for _ in range(6)) for _ in range(20)]
+    for v in points + points[::-1]:
+        assert evaluate(rf, v) == fraction_sum_evaluate(rf, v)
+    half = RFPolynomial((RFTerm(F(1, 2), (1,)), RFTerm(F(-1, 3), (2,))), 1)
+    for v in ((-4,), (3,), (0,), (-4,)):
+        try:
+            expected = fraction_sum_evaluate(half, v)
+        except ArithmeticError as exc:
+            with pytest.raises(ArithmeticError, match=re.escape(str(exc))):
+                evaluate(half, v)
+        else:
+            assert evaluate(half, v) == expected
+
+
+def test_copies_of_an_evaluated_polynomial_behave_as_new_ones():
+    rf = symbolic_lp(4)
+    fresh = symbolic_lp(4)
+    before = (hash(rf), repr(rf), pickle.dumps(rf))
+    v = (2, -1, 3, 0)
+    evaluate(rf, v)
+    assert (hash(rf), repr(rf), pickle.dumps(rf)) == before
+    assert rf == fresh and hash(rf) == hash(fresh)
+    assert pickle.dumps(rf) == pickle.dumps(fresh)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(rf, protocol))
+        assert type(copy) is RFPolynomial and copy == rf and evaluate(copy, v) == evaluate(rf, v)
+    # copies built from other terms get their own form, not the evaluated one's
+    shorter = rf._replace(terms=rf.terms[:-3])
+    scaled = RFPolynomial._make((tuple(RFTerm(2 * t.coeff, t.exponents) for t in rf.terms), rf.nvars))
+    # a leading exponent 0 adds the variable v_5, the last entry of the point
+    widened = rf._replace(terms=tuple(RFTerm(t.coeff, (0, *t.exponents)) for t in rf.terms), nvars=5)
+    for w in (v, (5, 0, -2, 7), (1, 1, 1, 1)):
+        for copy, point in ((shorter, w), (scaled, w), (widened, (*w, 9))):
+            assert evaluate(copy, point) == fraction_sum_evaluate(copy, point)
+        assert evaluate(scaled, w) == 2 * evaluate(rf, w)
+        assert evaluate(widened, (*w, 9)) == evaluate(rf, w)
+
+
+def test_symbolic_lp_shares_one_coefficient_per_value():
+    coeffs = [t.coeff for t in symbolic_lp(8).terms]
+    distinct = set(coeffs)
+    assert len({id(c) for c in coeffs}) == len(distinct) < 30
 
 
 def test_evaluate_refuses_non_integer_entries():
