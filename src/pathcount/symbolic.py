@@ -54,13 +54,13 @@ class RFTerm(NamedTuple):
 
 
 class RFPolynomial(NamedTuple("_RFFields", [("terms", "tuple[RFTerm, ...]"), ("nvars", int)])):
-    """Rising-factorial terms in lexicographic exponent order, all distinct and nonnegative.
+    """Rising-factorial terms in lexicographic exponent order, all distinct and nonnegative."""
 
-    No ``__slots__``: the instance dict holds the cached ``_form``.  Every
-    field is immutable, so the cache cannot go stale.
-    """
+    # no __slots__ = (): the instance dict holds the cached _form, which cannot
+    # go stale because every field is immutable
 
     def __new__(cls, terms: tuple[RFTerm, ...], nvars: int):
+        terms = tuple(terms)  # a list would be unhashable and could change under the cached form
         exps = [t.exponents for t in terms]
         if not all(map(lt, exps, exps[1:])):
             raise ValueError("terms must be lexicographically sorted and distinct")
@@ -75,7 +75,7 @@ class RFPolynomial(NamedTuple("_RFFields", [("terms", "tuple[RFTerm, ...]"), ("n
         return None
 
     @cached_property
-    def _form(self):
+    def _form(self):  # built on the first evaluate or expand
         return _integer_form([t.exponents for t in self.terms], [t.coeff for t in self.terms])
 
 

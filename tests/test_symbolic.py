@@ -333,10 +333,19 @@ def test_copies_of_an_evaluated_polynomial_behave_as_new_ones():
         assert evaluate(widened, (*w, 9)) == evaluate(rf, w)
 
 
+def test_rfpolynomial_stores_its_terms_as_a_tuple():
+    terms = [RFTerm(F(1), (0,)), RFTerm(F(1), (1,))]
+    rf = RFPolynomial(terms, 1)
+    assert type(rf.terms) is tuple and rf == RFPolynomial(tuple(terms), 1)
+    assert evaluate(rf, (3,)) == 4
+    terms.append(RFTerm(F(5), (2,)))
+    assert len(rf.terms) == 2 and evaluate(rf, (3,)) == 4 and hash(rf) == hash(symbolic_lp(1))
+
+
 def test_symbolic_lp_shares_one_coefficient_per_value():
     coeffs = [t.coeff for t in symbolic_lp(8).terms]
     distinct = set(coeffs)
-    assert len({id(c) for c in coeffs}) == len(distinct) < 30
+    assert len({id(c) for c in coeffs}) == len(distinct) == 20
 
 
 def test_evaluate_refuses_non_integer_entries():
