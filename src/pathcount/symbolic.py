@@ -190,8 +190,8 @@ def evaluate(poly: RFPolynomial | MonomialPolynomial, v: Diffs) -> Fraction:
     exponents present in its column (rising factorials of the reversed ``v``
     for the rising-factorial basis, powers of ``v`` for the monomial one), and
     one division ends it.  The columns, the lcm and the scaled numerators are
-    built once per ``RFPolynomial``, on its first evaluation, and on every call
-    for a ``MonomialPolynomial``.  These polynomials take integer values at
+    built once per ``RFPolynomial``, on its first evaluation or expansion, and
+    on every call for a ``MonomialPolynomial``.  These polynomials take integer values at
     integer points; a non-integer value raises ``ArithmeticError``.  Both bases
     refuse a negative exponent, or a tuple of the wrong length, when built.
     """
