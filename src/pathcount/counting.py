@@ -5,8 +5,9 @@
 Five independent engines compute it:
 
 * ``recurrence``  - bottom-up head recurrence on difference vectors;
-* ``determinant`` - Kreweras' binomial determinant, evaluated exactly by an
-  elimination that skips the zeros below its subdiagonal;
+* ``determinant`` - Kreweras' binomial determinant; its matrix is upper
+  Hessenberg with every subdiagonal entry 1, so one cofactor expansion row by
+  row evaluates it exactly, with no division and no pivot search;
 * ``triangular``  - banded forward substitution through the triangular
   system behind that determinant, stepping each live binomial in place;
 * ``theorem``     - sum of binomial products over the lattice points of the
@@ -28,7 +29,7 @@ from itertools import accumulate, combinations_with_replacement
 from math import comb
 from typing import Iterator
 
-from .exactmath import det_int, factorial
+from .exactmath import factorial
 from .paths import Diffs, Heights, Point, delta, sigma, validate_diffs, validate_heights
 
 # longest path the theorem engine takes; its table then makes at most 665 binomial products
@@ -94,19 +95,22 @@ def count_recurrence(v: Diffs) -> int:
 def count_determinant(p: Heights) -> int:
     """Count restricted paths as Kreweras' determinant det[binom(p_i + 1, j - i + 1)].
 
-    Its entries vanish for j < i - 1, so it is upper Hessenberg: each row is built as
-    those zeros followed by ``math.comb`` of nonnegative arguments for j >= i - 1, sharing
-    nothing with ``triangular``.  At each Bareiss step of :func:`~pathcount.exactmath.det_int`
-    only the row just below the pivot has a nonzero lead, the rows further down keep their
-    stored values with ``div[i] == 1`` (the Bareiss row is ``row * prev / div[i]``), and the
-    elimination makes O(n^2) big-integer operations.
+    Its entries vanish for j < i - 1 and its subdiagonal entries are binom(p_i + 1, 0) = 1,
+    so it is upper Hessenberg with a unit subdiagonal.  Let M_i(j) be the minor on rows 0..i
+    and columns 0..i-1, j.  Row i has only two nonzero entries there, the 1 in column i - 1
+    and binom(p_i + 1, j - i + 1) in column j, so expanding along it gives
+    M_i(j) = binom(p_i + 1, j - i + 1) * M_(i-1)(i - 1) - M_(i-1)(j).  The pivot M_(i-1)(i - 1)
+    is the leading i x i minor, LP(p_1..p_i), and the determinant is M_(n-1)(n - 1).  One live
+    row of M_i(j) for j >= i is the whole state: ``math.comb`` entries, O(n^2) big-integer
+    operations and no matrix.  The expansion only multiplies and subtracts, so it divides by
+    nothing and needs no pivot search; it holds for any pivot value.  It shares nothing with
+    ``triangular``.
     """
-    n = len(p)
-    matrix = [
-        [0] * max(i - 1, 0) + [comb(p[i] + 1, j - i + 1) for j in range(max(i - 1, 0), n)]
-        for i in range(n)
-    ]
-    return det_int(matrix)
+    row = [1] + [0] * len(p)  # M_(-1): the empty minor 1, then M_(-1)(j) = 0 for every column j
+    for h in p:
+        pivot = row[0]
+        row = [comb(h + 1, k) * pivot - above for k, above in enumerate(row[1:], 1)]
+    return row[0]
 
 
 def count_triangular(p: Heights) -> int:

@@ -37,13 +37,28 @@ __all__ = [
 ]
 
 
-def _check_exponents(exps, nvars: int) -> None:
-    """Refuse an exponent tuple that does not have ``nvars`` entries or has a negative one."""
+def _check_terms(exps, coeffs, nvars: int) -> None:
+    """Refuse terms a polynomial cannot hold.
+
+    Every exponent tuple must be a ``tuple`` of ``nvars`` nonnegative ints
+    (a list could change under the cached form), and every coefficient an
+    ``int`` or a ``Fraction``.
+    """
+    from fractions import Fraction
     for e in exps:
+        if not isinstance(e, tuple):
+            raise ValueError(f"exponents {e!r} are not a tuple")
         if len(e) != nvars:
             raise ValueError(f"exponent tuple {e} does not have {nvars} entries")
-    if min(chain.from_iterable(exps), default=0) < 0:  # one scan; a per-tuple min costs more
+    # each check is one scan in C over the types present; a per-entry test costs more
+    if not all(issubclass(kind, int) for kind in set(map(type, chain.from_iterable(exps)))):
+        bad = next(e for e in exps if not all(isinstance(x, int) for x in e))
+        raise ValueError(f"exponent tuple {bad} has an entry that is not an int")
+    if min(chain.from_iterable(exps), default=0) < 0:
         raise ValueError(f"exponent tuple {min(exps, key=min)} has a negative entry")
+    if not all(issubclass(kind, (int, Fraction)) for kind in set(map(type, coeffs))):
+        bad = next(c for c in coeffs if not isinstance(c, (int, Fraction)))
+        raise ValueError(f"coefficient {bad!r} is not an int or a Fraction")
 
 
 class RFTerm(NamedTuple):
@@ -62,9 +77,9 @@ class RFPolynomial(NamedTuple("_RFFields", [("terms", "tuple[RFTerm, ...]"), ("n
     def __new__(cls, terms: tuple[RFTerm, ...], nvars: int):
         terms = tuple(terms)  # a list would be unhashable and could change under the cached form
         exps = [t.exponents for t in terms]
+        _check_terms(exps, [t.coeff for t in terms], nvars)
         if not all(map(lt, exps, exps[1:])):
             raise ValueError("terms must be lexicographically sorted and distinct")
-        _check_exponents(exps, nvars)
         return super().__new__(cls, terms, nvars)
 
     @classmethod
@@ -94,7 +109,7 @@ class MonomialPolynomial(
     __slots__ = ()
 
     def __new__(cls, coeffs: dict[tuple[int, ...], Fraction], nvars: int):
-        _check_exponents(coeffs, nvars)
+        _check_terms(coeffs, coeffs.values(), nvars)
         return super().__new__(cls, coeffs, nvars)
 
     @classmethod

@@ -437,6 +437,29 @@ def test_cross_engine_large_random_paths():
         assert count_determinant(p) == count_triangular(p) == dp_oracle(p)
 
 
+def kreweras_matrix(p):
+    """The full n x n matrix [binom(p_i + 1, j - i + 1)], the zeros below the subdiagonal included."""
+    return [[binom(h + 1, j - i + 1) for j in range(len(p))] for i, h in enumerate(p)]
+
+
+def test_determinant_matches_det_int_on_the_full_kreweras_matrix():
+    # every length up to 40, so an engine that goes wrong only on its later rows still shows
+    rng = random.Random(42)
+    for n in range(41):
+        top = rng.choice((1, n, 10**3, 10**9))
+        p = tuple(sorted(rng.randint(0, top) for _ in range(n)))
+        assert count_determinant(p) == det_int(kreweras_matrix(p)), p
+
+
+def test_determinant_matches_triangular_on_short_tall_paths():
+    rng = random.Random(50)
+    for top in (10, 10**5, 10**10, 10**15):
+        p = tuple(sorted(rng.randint(0, top) for _ in range(50)))
+        assert count_determinant(p) == count_triangular(p), top
+    p = (10**15,) * 50
+    assert count_determinant(p) == count_triangular(p) == binom(10**15 + 50, 50)
+
+
 def test_restriction_bijection_counts():
     # direct enumeration of restricted paths vs the polytope recurrence
     for n in range(5):

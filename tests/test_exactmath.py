@@ -100,6 +100,16 @@ def test_rising_factorial_values():
         rising_factorial(2, -1)
 
 
+def test_rising_factorial_matches_the_product_loop():
+    # negative starts included: the product passes through zero or stays negative
+    for a in range(-12, 13):
+        for m in range(12):
+            out = 1
+            for t in range(m):
+                out *= a + t
+            assert rising_factorial(a, m) == out, (a, m)
+
+
 def test_rising_factorial_binomial_identity():
     for a in range(1, 31):
         for m in range(31):

@@ -402,6 +402,75 @@ def test_evaluate_refuses_non_integer_value_under_optimize():
     assert proc.returncode == 0
 
 
+def test_exponents_that_are_not_tuples_of_ints_are_refused():
+    # a list exponent let the cached form go stale: after e[0] = 2 evaluate still returned 4, not 13
+    e = [1]
+    with pytest.raises(ValueError, match=re.escape("exponents [1] are not a tuple")):
+        RFPolynomial((RFTerm(F(1), (0,)), RFTerm(F(1), e)), 1)
+    # all lists, where the sort check passes, and a list first, where it would raise TypeError
+    with pytest.raises(ValueError, match=re.escape("exponents [0] are not a tuple")):
+        RFPolynomial((RFTerm(F(1), [0]), RFTerm(F(1), [1])), 1)
+    with pytest.raises(ValueError, match=re.escape("exponents [0] are not a tuple")):
+        RFPolynomial((RFTerm(F(1), [0]), RFTerm(F(1), (1,))), 1)
+    for bad in ((1.0,), (0, F(1, 2)), (0, "1")):
+        n = len(bad)
+        message = re.escape(f"exponent tuple {bad} has an entry that is not an int")
+        with pytest.raises(ValueError, match=message):
+            RFPolynomial((RFTerm(F(1), (0,) * n), RFTerm(F(1), bad)), n)
+        with pytest.raises(ValueError, match=message):
+            MonomialPolynomial({(0,) * n: F(1), bad: F(1)}, n)
+    mono = MonomialPolynomial({(1,): F(1)}, 1)
+    with pytest.raises(ValueError, match=re.escape("exponent tuple (2.5,) has an entry that is not an int")):
+        mono._replace(coeffs={(2.5,): F(1)})
+    # ints and their subclasses stay accepted
+    assert evaluate(RFPolynomial((RFTerm(F(1), (True,)),), 1), (3,)) == 3
+
+
+def test_coefficients_that_are_not_int_or_fraction_are_refused():
+    # a float used to reach evaluate and expand and raise AttributeError there
+    for bad in (0.5, 1.0, "1", 1j, None):
+        message = re.escape(f"coefficient {bad!r} is not an int or a Fraction")
+        with pytest.raises(ValueError, match=message):
+            RFPolynomial((RFTerm(F(1), (0,)), RFTerm(bad, (1,))), 1)
+        with pytest.raises(ValueError, match=message):
+            MonomialPolynomial({(0,): F(1), (1,): bad}, 1)
+    rf = RFPolynomial((RFTerm(F(1), (0,)),), 1)
+    with pytest.raises(ValueError, match=re.escape("coefficient 0.5 is not an int or a Fraction")):
+        rf._replace(terms=(RFTerm(0.5, (0,)),))
+    # int coefficients keep working in both bases
+    rf = RFPolynomial((RFTerm(2, (1,)),), 1)
+    assert evaluate(rf, (3,)) == 6
+    assert expand(rf).coeffs == {(1,): 2}
+    assert serialize(rf) == "2/1  1"
+    assert evaluate(MonomialPolynomial({(0,): 1, (2,): 3}, 1), (3,)) == 28
+
+
+def test_term_refusals_under_optimize():
+    # both type checks must survive python -O, which strips asserts
+    src = os.path.dirname(os.path.dirname(pathcount.__file__))
+    code = (
+        "from fractions import Fraction\n"
+        "from pathcount.symbolic import MonomialPolynomial, RFPolynomial, RFTerm\n"
+        "if __debug__:\n    raise SystemExit('not running under -O')\n"
+        "one = Fraction(1)\n"
+        "cases = [\n"
+        "    (lambda: RFPolynomial((RFTerm(one, [0]), RFTerm(one, [1])), 1), 'exponents [0] are not a tuple'),\n"
+        "    (lambda: MonomialPolynomial({(1.0,): one}, 1), 'exponent tuple (1.0,) has an entry that is not an int'),\n"
+        "    (lambda: RFPolynomial((RFTerm(0.5, (1,)),), 1), 'coefficient 0.5 is not an int or a Fraction'),\n"
+        "    (lambda: MonomialPolynomial({(1,): 0.5}, 1), 'coefficient 0.5 is not an int or a Fraction'),\n"
+        "]\n"
+        "for build, message in cases:\n"
+        "    try:\n        build()\n"
+        "    except ValueError as exc:\n"
+        "        if str(exc) != message:\n"
+        "            raise SystemExit(f'unexpected message {exc}')\n"
+        "    else:\n        raise SystemExit(f'no ValueError, expected {message}')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60)
+    assert proc.returncode == 0
+
+
 def test_serialize_golden_n2():
     assert serialize(symbolic_lp(2)) == "\n".join(
         [
