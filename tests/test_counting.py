@@ -437,18 +437,15 @@ def test_cross_engine_large_random_paths():
         assert count_determinant(p) == count_triangular(p) == dp_oracle(p)
 
 
-def kreweras_matrix(p):
-    """The full n x n matrix [binom(p_i + 1, j - i + 1)], the zeros below the subdiagonal included."""
-    return [[binom(h + 1, j - i + 1) for j in range(len(p))] for i, h in enumerate(p)]
-
-
 def test_determinant_matches_det_int_on_the_full_kreweras_matrix():
-    # every length up to 40, so an engine that goes wrong only on its later rows still shows
+    # every length up to 40, so an engine that goes wrong only on its later rows still shows;
+    # the matrix is built whole, the zeros below the subdiagonal included
     rng = random.Random(42)
     for n in range(41):
         top = rng.choice((1, n, 10**3, 10**9))
         p = tuple(sorted(rng.randint(0, top) for _ in range(n)))
-        assert count_determinant(p) == det_int(kreweras_matrix(p)), p
+        full = [[binom(p[i] + 1, j - i + 1) for j in range(n)] for i in range(n)]
+        assert count_determinant(p) == det_int(full), p
 
 
 def test_determinant_matches_triangular_on_short_tall_paths():
