@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import math
 import os
@@ -320,6 +321,28 @@ def test_benchmark_uses_only_the_public_namespace():
         used = set(re.findall(r"\bpc\.(\w+)", f.read()))
     assert "count" in used
     assert sorted(used - set(pathcount.__all__) - {"main"}) == []
+
+
+def test_checked_in_bench_files_are_well_formed():
+    # a BENCH_*.json backs a speed claim with parent/change pairs of perfbench result lines;
+    # every run must be correct, fail nothing and name the commit and sources it measured
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    paths = sorted(glob.glob(os.path.join(root, "BENCH_*.json")))
+    assert paths
+    for path in paths:
+        name = os.path.basename(path)
+        with open(path, encoding="utf-8") as f:
+            bench = json.load(f)
+        runs = bench["runs"]
+        assert {run["side"] for run in runs} == {"parent", "change"}, name
+        for run in runs:
+            record, result = run["record"], run["result"]
+            where = (name, run["side"], record["workload"], record["seed"], record["trace"])
+            assert re.fullmatch(r"[0-9a-f]{40}", record["environment"]["git_commit"]), where
+            assert re.fullmatch(r"[0-9a-f]{64}", record["environment"]["source_sha256"]), where
+            assert result["correct"] is True and result["failed"] == 0, where
+            if run["side"] == "parent":
+                assert record["environment"]["git_commit"] == bench["parent"], where
 
 
 def test_enumerate_json(capsys):

@@ -8,7 +8,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import accumulate, combinations_with_replacement, product
 from math import prod
 from unittest import mock
 
@@ -246,6 +246,24 @@ def theorem_walk(p):
     return walk(0, 0, 1)
 
 
+def dp_columns(p):
+    """Reference sweep for ``dp_oracle``: one running-sum pass per column, runs or not.
+
+    Each column is the running sums of the last, cut to its first p_i + 1
+    entries or padded with the running total, so it takes any tuple of bounds;
+    an emptied column (a negative bound) stays empty.
+    """
+    ending = [1]
+    for bound in p:
+        ending = list(accumulate(ending))
+        gap = bound + 1 - len(ending)
+        if gap > 0:
+            ending += ending[-1:] * gap
+        elif gap < 0:
+            del ending[gap:]
+    return sum(ending)
+
+
 # sorted heights of at most 30 steps: runs of zeros and of heights up to 10^20
 tall_runs_st = st.lists(
     st.tuples(st.just(0) | st.integers(0, 10**20), st.integers(1, 8)), max_size=10
@@ -351,6 +369,70 @@ def test_dp_oracle_at_benchmark_sizes():
         assert dp_oracle(p) == count_recurrence(delta(p)), p[:3]
     assert dp_oracle((200,) * 200) == binom(400, 200)
     assert dp_oracle(tuple(range(1, 301))) == catalan(301)
+
+
+def test_running_sums_equal_k_accumulate_passes():
+    rng = random.Random(15)
+    for c in range(9):
+        for k in range(41):
+            column = [rng.randint(0, 10**40) for _ in range(c)]
+            want = column
+            for _ in range(k):
+                want = list(accumulate(want))
+            given_column = list(column)
+            assert counting._running_sums(column, k) == want, (c, k)
+            assert column == given_column, (c, k)
+
+
+@pytest.fixture
+def weighted_sums(monkeypatch):
+    """Count the products of _running_sums' weighted branch, the only user of ``counting.mul``."""
+    products = []
+    monkeypatch.setattr(counting, "mul", lambda a, b: products.append(1) or a * b)
+    return products
+
+
+def test_dp_oracle_matches_dp_columns_on_every_small_bound_tuple():
+    for n in range(6):
+        for p in product(range(-1, 5), repeat=n):
+            assert dp_oracle(p) == dp_columns(p), p
+
+
+def test_dp_oracle_weighted_sum_on_long_runs_over_short_columns(weighted_sums):
+    rng = random.Random(16)
+    paths = [
+        tuple(sorted(rng.randint(0, 6) for _ in range(400))),
+        (5,) * 50 + (2,) * 80 + (9,) * 30 + (0,) * 10 + (4,) * 60,  # not monotone
+        tuple(range(1, 200)) + (5,) * 300 + (8,) * 41,  # big entries cut to a short column
+        (3,) * 1000 + (8,) * 500 + (1,) * 2,
+    ]
+    for p in paths:
+        weighted_sums.clear()
+        assert dp_oracle(p) == dp_columns(p), p[:3]
+        assert weighted_sums, p[:3]
+
+
+def test_dp_oracle_passes_on_wide_columns_of_big_integers(weighted_sums):
+    # c < 2k, and in the last even k >= 2c, but the weights' digits make the passes cheaper
+    paths = [
+        tuple(range(1, 301)) + (300,) * 199,
+        tuple(range(1, 121)) + (150,) * 100 + (90,) * 60,
+        (120,) * 400,
+    ]
+    for p in paths:
+        assert dp_oracle(p) == dp_columns(p), p[:3]
+    assert not weighted_sums
+
+
+def test_dp_oracle_run_of_negative_bounds_over_an_empty_column():
+    # the run owes its passes over a column of c = 0 entries, which must not reach comb
+    for p in ((3,) + (-1,) * 50, (2, 2, -2, -2, -2, 5, 5), (-1,) * 40, (0, -3) + (-3,) * 9 + (4,) * 20):
+        assert dp_oracle(p) == dp_columns(p) == 0, p
+
+
+def test_dp_oracle_closed_forms_on_long_rectangles():
+    assert dp_oracle((20,) * 100000) == binom(100020, 20)
+    assert dp_oracle((7,) * 300) == binom(307, 7)
 
 
 # --- engine dispatch and cross-checks --------------------------------------
@@ -489,6 +571,14 @@ def test_macmahon_total_values():
         assert macmahon_total(0, m) == 1
     with pytest.raises(ValueError):
         macmahon_total(-1, 2)
+
+
+def test_macmahon_bruteforce_refuses_a_negative_endpoint():
+    # it used to return 0 for (2, -1) and 1 for (0, -3), and to fail inside itertools for (-1, 2)
+    for n, m in ((2, -1), (0, -3), (-1, 2)):
+        for aggregate in (macmahon_total, macmahon_bruteforce):
+            with pytest.raises(ValueError, match=re.escape(f"endpoint ({n}, {m}) has a negative coordinate")):
+                aggregate(n, m)
 
 
 def test_macmahon_brute_force_matches():
