@@ -2,28 +2,29 @@
 
 ``lp(v)``, the number of lattice points in the Pitman-Stanley polytope of
 ``v``, equals the number of paths restricted by the height path ``sigma(v)``.
-Five independent engines compute it:
+Five engines compute it:
 
-* ``recurrence``  - bottom-up head recurrence on difference vectors;
+* ``recurrence``  - bottom-up head recurrence on difference vectors, each
+  column one running sum of the last, a run of zero differences paid at once;
 * ``determinant`` - Kreweras' binomial determinant; its matrix is upper
   Hessenberg with every subdiagonal entry 1, so one cofactor expansion row by
   row evaluates it exactly, with no division and no pivot search;
 * ``triangular``  - banded forward substitution through the triangular
   system behind that determinant, stepping each live binomial in place;
 * ``theorem``     - sum of binomial products over the lattice points of the
-  all-ones polytope, grouped by slack into a forward table of O(n^2)
-  states (n capped at ``THEOREM_CAP``);
+  all-ones polytope, grouped by slack into a table kept reversed, which a
+  nonzero difference x steps by x running sums (n capped at ``THEOREM_CAP``);
 * ``dp``          - column-by-column dynamic program directly over admissible
-  heights, each column one running sum of the last; a run of k equal bounds
-  over c heights owes its k running sums and pays them at once, as k passes
-  or, when c times the 30-bit digits of binom(k + c - 2, c - 1) is under 2k,
-  as one sum weighted by binom(k - 1 + d, d); it takes any tuple of bounds,
-  monotone or not, and is the oracle the others are checked against.
+  heights, each column one running sum of the last, a run of equal bounds
+  paid at once; it takes any tuple of bounds, monotone or not, and is the
+  oracle the others are checked against.
 
-All engines agree on every input; the test suite and the ``verify`` CLI
-subcommand enforce this.  ``dp`` and ``recurrence`` refuse, through
-``CapacityError``, a path whose longest column would pass ``MAX_COLUMN``;
-``theorem`` refuses n over ``THEOREM_CAP``.
+``recurrence``, ``theorem`` and ``dp`` pay k running sums over c entries through one
+helper, ``_running_sums``: as k passes or, when c times the 30-bit digits of
+binom(k + c - 2, c - 1) is under 2k, as one sum weighted by binom(k - 1 + d, d).
+All engines agree on every input; the test suite and the ``verify`` CLI subcommand
+enforce this.  ``dp`` and ``recurrence`` refuse, through ``CapacityError``, a path
+whose longest column would pass ``MAX_COLUMN``; ``theorem`` refuses n over ``THEOREM_CAP``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Iterator
 from .exactmath import factorial
 from .paths import Diffs, Heights, Point, delta, sigma, validate_diffs, validate_heights
 
-# longest path the theorem engine takes; its table then makes at most 665 binomial products
+# longest path the theorem engine takes; it refuses longer ones, which `count --engine all` skips
 THEOREM_CAP = 14
 # longest column, in integers, that the dp and recurrence engines may build;
 # two such columns of big integers stay within a few hundred megabytes
@@ -84,16 +85,23 @@ def count_recurrence(v: Diffs) -> int:
     dropping that coordinate lands in the polytope of the shortened vector.
     With f_k(s) = lp((s, v_{k+1}, ..., v_n)) this reads
     f_k(s) = sum over t = v_{k+1}..s + v_{k+1} of f_{k+1}(t), and
-    f_n(s) = s + 1.  The columns f_n, ..., f_1 are built right to left, each
-    as one running sum of the last, and lp(v) = f_1(v_1).  Column k is kept
-    only for v_k <= s <= v_1 + ... + v_k, the arguments column k - 1 reads.
+    f_n(s) = s + 1.  The columns f_n, ..., f_1 are built right to left, each as one
+    running sum of the last, and lp(v) = f_1(v_1).  Column k is kept only for
+    v_k <= s <= v_1 + ... + v_k, the arguments column k - 1 reads.  A zero difference
+    cuts nothing, so it only owes its running sum: :func:`_running_sums` pays a run's
+    sums before the next nonzero difference.
     """
     if not v:
         return 1
-    column = range(v[-1] + 1, sum(v) + 2)
+    column, owed = range(v[-1] + 1, sum(v) + 2), 0
     for x in reversed(v[:-1]):
+        if not x:
+            owed += 1
+            continue
+        if owed:
+            column, owed = _running_sums(list(column), owed), 0
         column = list(accumulate(column))[x:]
-    return column[0]
+    return column[0]  # a running sum never changes the first entry: passes still owed are dropped
 
 
 def count_determinant(p: Heights) -> int:
@@ -145,28 +153,22 @@ def count_theorem(p: Heights) -> int:
     sum over the C_{n+1} lattice points x of prod_i binom(w_i + x_i - 1, x_i), the
     binomials taken with the extended convention of :func:`~pathcount.exactmath.binom`
     so that a zero w_i forces x_i = 0.  A prefix x_1..x_i leaves slack
-    s = i - (x_1 + ... + x_i) and x_(i+1) ranges over 0..s + 1, so the points
-    are summed as a forward table: ``weight[s]`` is the total partial product of
-    the prefixes that leave slack s.  Position i (from 0) makes (i + 1)(i + 4)/2
-    products when w_i > 0 and none otherwise.  Refuses n > ``THEOREM_CAP``,
-    which keeps the default ``count --engine all`` to short paths.
+    s = i - (x_1 + ... + x_i) and x_(i+1) ranges over 0..s + 1, so the points are
+    summed as a table: weight[s] totals the partial products of the prefixes that
+    leave slack s.  With w' = [0] + weight, the step for w_i = x > 0 is
+    next[m] = sum over u >= m of binom(x - 1 + u - m, u - m) * w'[u], x suffix running
+    sums of w'.  Kept reversed, the table takes each new slack-0 entry as an append and
+    these sums as the prefix sums of :func:`_running_sums`.  Refuses n > ``THEOREM_CAP``.
     """
     n = len(p)
     if n > THEOREM_CAP:
         raise CapacityError(f"theorem engine capacity exceeded: n = {n} is over the cap {THEOREM_CAP}")
-    w = tuple(reversed(delta(p)))
-    weight = [1]  # weight[s]: summed partial products of the prefixes leaving slack s
-    for x in w:
-        if not x:  # x_i = 0 is forced: factor 1, one more unit of slack
-            weight.insert(0, 0)
-            continue
-        c = [comb(x - 1 + k, k) for k in range(len(weight) + 1)]
-        nxt = [0] * (len(weight) + 1)
-        for s, ws in enumerate(weight):
-            for k in range(s + 2):
-                nxt[s + 1 - k] += ws * c[k]
-        weight = nxt
-    return sum(weight)
+    rev = [1]  # the slack table, reversed: rev[-1 - s] is the weight of slack s
+    for x in reversed(delta(p)):
+        rev.append(0)
+        if x:
+            rev = _running_sums(rev, x)
+    return sum(rev)
 
 
 def _running_sums(column: list[int], k: int) -> list[int]:
@@ -204,14 +206,12 @@ def dp_oracle(p: Heights) -> int:
     (anything up to p_n).
 
     A bound equal to the last leaves the column's length alone, so a run of
-    k such bounds only owes k running sums.  :func:`_running_sums` pays them
-    when the bound changes and at the end, as k passes over the c = p_i + 1
-    entries or, when c times the 30-bit digits of binom(k + c - 2, c - 1) is
-    under 2k, as one sum weighted by binom(k - 1 + d, d).  So the sweep never
-    costs more than one pass per column, O(n * max p) additions, and a long
-    run costs far less: (20,) * 100000 takes 231 products in place of 2.1
-    million additions.  This is the reference implementation the other
-    engines are validated against.
+    k such bounds only owes k running sums, which :func:`_running_sums` pays
+    when the bound changes and at the end.  So the sweep never costs more
+    than one pass per column, O(n * max p) additions, and a long run costs
+    far less: (20,) * 100000 takes 231 products in place of 2.1 million
+    additions.  This is the reference implementation the other engines are
+    validated against.
     """
     bounds = iter(p)
     last = next(bounds, 0)

@@ -180,7 +180,7 @@ def test_c12_performance_soft_bounds():
     assert d == t
 
     # strictly increasing heights leave no zero differences: the theorem's sum
-    # over C_13 = 742900 lattice points fills every slack of its table
+    # over C_13 = 742900 lattice points takes a running-sum step at every position
     p12 = tuple(range(1, 13))
     start = time.perf_counter()
     count_theorem(p12)

@@ -9,7 +9,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement, product
-from math import prod
+from math import comb, prod
 from unittest import mock
 
 import pytest
@@ -246,6 +246,38 @@ def theorem_walk(p):
     return walk(0, 0, 1)
 
 
+def theorem_table(p):
+    """Reference slack table for ``count_theorem``, with no cap: one binomial convolution per step.
+
+    ``weight[s]`` is the summed partial product of the prefixes that leave slack s; a
+    nonzero reversed difference x folds it through binom(x - 1 + k, k) into a table one
+    longer, so unlike the engine it makes its products without ``_running_sums``.
+    """
+    w = tuple(reversed(delta(p)))
+    weight = [1]  # weight[s]: summed partial products of the prefixes leaving slack s
+    for x in w:
+        if not x:  # x_i = 0 is forced: factor 1, one more unit of slack
+            weight.insert(0, 0)
+            continue
+        c = [comb(x - 1 + k, k) for k in range(len(weight) + 1)]
+        nxt = [0] * (len(weight) + 1)
+        for s, ws in enumerate(weight):
+            for k in range(s + 2):
+                nxt[s + 1 - k] += ws * c[k]
+        weight = nxt
+    return sum(weight)
+
+
+def recurrence_columns(v):
+    """Reference sweep for ``count_recurrence``: one running-sum pass per difference, zero or not."""
+    if not v:
+        return 1
+    column = range(v[-1] + 1, sum(v) + 2)
+    for x in reversed(v[:-1]):
+        column = list(accumulate(column))[x:]
+    return column[0]
+
+
 def dp_columns(p):
     """Reference sweep for ``dp_oracle``: one running-sum pass per column, runs or not.
 
@@ -299,7 +331,7 @@ def test_theorem_long_zero_runs():
 
 
 def test_theorem_matches_triangular_on_huge_heights():
-    # at the fixed cap the table's 665 products stay fast however many digits the heights have
+    # at the fixed cap the sweep's running sums stay fast however many digits the heights have
     rng = random.Random(14)
     p = tuple(sorted(rng.randint(0, 10**1000) for _ in range(counting.THEOREM_CAP)))
     assert count_theorem(p) == count_triangular(p)
@@ -318,6 +350,18 @@ def test_theorem_table_matches_walk_on_random_paths():
         top = rng.choice((3, 20, 10**6))
         p = tuple(sorted(rng.randint(0, top) for _ in range(n)))
         assert count_theorem(p) == theorem_walk(p), p
+
+
+def test_theorem_matches_table_on_long_zero_runs_and_tall_heights(weighted_sums):
+    # up to 40 steps: runs of zeros between runs of heights up to 10^20, so the sweep
+    # takes both branches of _running_sums and the table, which never calls it, checks them
+    rng = random.Random(16)
+    with mock.patch.object(counting, "THEOREM_CAP", 40):
+        for _ in range(40):
+            heights = [rng.choice((0, rng.randint(1, 9), rng.randint(0, 10**20))) for _ in range(8)]
+            p = tuple(sorted([h for h in heights for _ in range(rng.randint(1, 12))][:40]))
+            assert count_theorem(p) == theorem_table(p), p
+    assert weighted_sums
 
 
 @given(tall_runs_st)
@@ -396,6 +440,48 @@ def test_dp_oracle_matches_dp_columns_on_every_small_bound_tuple():
     for n in range(6):
         for p in product(range(-1, 5), repeat=n):
             assert dp_oracle(p) == dp_columns(p), p
+
+
+@given(st.integers(0, 60), st.data())
+def test_running_sums_equal_k_accumulate_passes_on_random_runs(c, data):
+    # k up to 3000 takes both branches; k up to 4c reaches the rule's boundary, which lies
+    # between c / 2 and 3.5c for every c <= 60
+    column = data.draw(st.lists(st.integers(0, 10**30), min_size=c, max_size=c))
+    k = data.draw(st.integers(0, 4 * c) | st.integers(0, 3000))
+    want = column
+    for _ in range(k):
+        want = list(accumulate(want))
+    given_column = list(column)
+    assert counting._running_sums(column, k) == want
+    assert column == given_column
+
+
+def test_recurrence_matches_recurrence_columns_exhaustively():
+    for n in range(7):
+        for p in nondecreasing_tuples(n, 6):
+            assert count_recurrence(delta(p)) == recurrence_columns(delta(p)), p
+
+
+def test_recurrence_weighted_sum_on_long_low_paths(weighted_sums):
+    rng = random.Random(17)
+    for n, top in ((3000, 6), (1200, 40)):
+        v = delta(tuple(sorted(rng.randint(0, top) for _ in range(n))))
+        weighted_sums.clear()
+        assert count_recurrence(v) == recurrence_columns(v), (n, top)
+        assert weighted_sums, (n, top)
+
+
+def test_reference_oracles_do_not_call_running_sums():
+    # dp, recurrence and theorem share _running_sums, so agreement between them cannot show a
+    # fault in it; each is checked against one of these, which must not reach it
+    def names(code):
+        yield from code.co_names
+        for const in code.co_consts:
+            if hasattr(const, "co_names"):
+                yield from names(const)
+
+    for oracle in (theorem_walk, theorem_table, dp_columns, recurrence_columns):
+        assert "_running_sums" not in set(names(oracle.__code__)), oracle.__name__
 
 
 def test_dp_oracle_weighted_sum_on_long_runs_over_short_columns(weighted_sums):
