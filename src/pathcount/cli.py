@@ -81,7 +81,10 @@ def cmd_enumerate(args) -> int:
     p = _parse_path(args.path)
     total = count(p, "triangular")
     if args.count_only:
-        print(total)
+        if args.format == "json":
+            _print_json({"path": {"heights": list(p)}, "count": str(total)})
+        else:
+            print(total)
         return EXIT_OK
     if total > ENUMERATE_CAP:
         raise CapacityError(
@@ -98,7 +101,11 @@ def cmd_enumerate(args) -> int:
 def cmd_symbolic(args) -> int:
     if args.count_terms:
         check_nvars(args.n)
-        print(catalan(args.n + 1))  # one term per point of the all-ones polytope
+        terms = catalan(args.n + 1)  # one term per point of the all-ones polytope
+        if args.format == "json":
+            _print_json({"nvars": args.n, "term_count": str(terms)})
+        else:
+            print(terms)
         return EXIT_OK
     poly = symbolic_lp(args.n)
     if args.expand:

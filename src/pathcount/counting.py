@@ -22,8 +22,10 @@ Five engines compute it:
 ``recurrence``, ``theorem`` and ``dp`` pay k running sums over c entries through one
 helper, ``_running_sums``: as k passes or, when c times the 30-bit digits of
 binom(k + c - 2, c - 1) is under 2k, as one sum weighted by binom(k - 1 + d, d).
-All engines agree on every input; the test suite and the ``verify`` CLI subcommand
-enforce this.  ``dp`` and ``recurrence`` refuse, through ``CapacityError``, a path
+The engines are reached through :func:`count`, which validates the path once and runs its
+kernel from ``_KERNELS``; the engine functions assume a validated path, so ``pathcount``
+does not export them.  All engines agree on every input; the test suite and the ``verify``
+CLI subcommand enforce this.  ``dp`` and ``recurrence`` refuse, through ``CapacityError``, a path
 whose longest column would pass ``MAX_COLUMN``; ``theorem`` refuses n over ``THEOREM_CAP``.
 """
 
@@ -46,6 +48,12 @@ MAX_COLUMN = 10**7
 
 class CapacityError(Exception):
     """An engine or enumeration was asked to exceed its configured cap."""
+
+
+def _column_refusal(engine: str, length: int) -> CapacityError:
+    return CapacityError(
+        f"{engine} engine capacity exceeded: a column of {length} integers is over the cap {MAX_COLUMN}"
+    )
 
 
 def enumerate_polytope(v: Diffs) -> Iterator[Point]:
@@ -90,10 +98,17 @@ def count_recurrence(v: Diffs) -> int:
     v_k <= s <= v_1 + ... + v_k, the arguments column k - 1 reads.  A zero difference
     cuts nothing, so it only owes its running sum: :func:`_running_sums` pays a run's
     sums before the next nonzero difference.
+
+    ``v`` is the difference vector of a height tuple p that :func:`count` has validated.
+    The first column, of p_(n-1) + 1 entries, is the longest; over ``MAX_COLUMN`` it is
+    refused through ``CapacityError`` before it is built.
     """
     if not v:
         return 1
     column, owed = range(v[-1] + 1, sum(v) + 2), 0
+    width = column.stop - column.start  # len() overflows past sys.maxsize
+    if width > MAX_COLUMN:
+        raise _column_refusal("recurrence", width)
     for x in reversed(v[:-1]):
         if not x:
             owed += 1
@@ -116,7 +131,7 @@ def count_determinant(p: Heights) -> int:
     row of M_i(j) for j >= i is the whole state: ``math.comb`` entries, O(n^2) big-integer
     operations and no matrix.  The expansion only multiplies and subtracts, so it divides by
     nothing and needs no pivot search; it holds for any pivot value.  It shares nothing with
-    ``triangular``.
+    ``triangular``.  ``p`` is a height tuple :func:`count` has validated.
     """
     row = [1] + [0] * len(p)  # M_(-1): the empty minor 1, then M_(-1)(j) = 0 for every column j
     for h in p:
@@ -132,6 +147,7 @@ def count_triangular(p: Heights) -> int:
     j > i + p_i.  As ``p`` is nondecreasing, rows die in the order they were added: the live
     ones are the band ``terms[lo:]``, each stepping its term in place by binom(m, k + 1) =
     binom(m, k) (m - k) / (k + 1), an exact division.  O(n * min(n, max p)) small-integer steps.
+    ``p`` is a height tuple :func:`count` has validated.
     """
     lp, lo, terms = 1, 0, []  # LP of the prefix so far; terms[r]: row r's signed term
     for j, h in enumerate(p):
@@ -158,7 +174,8 @@ def count_theorem(p: Heights) -> int:
     leave slack s.  With w' = [0] + weight, the step for w_i = x > 0 is
     next[m] = sum over u >= m of binom(x - 1 + u - m, u - m) * w'[u], x suffix running
     sums of w'.  Kept reversed, the table takes each new slack-0 entry as an append and
-    these sums as the prefix sums of :func:`_running_sums`.  Refuses n > ``THEOREM_CAP``.
+    these sums as the prefix sums of :func:`_running_sums`.  ``p`` is a height tuple
+    :func:`count` has validated; n > ``THEOREM_CAP`` is refused.
     """
     n = len(p)
     if n > THEOREM_CAP:
@@ -274,18 +291,6 @@ def macmahon_bruteforce(n: int, m: int) -> int:
     return sum(dp_oracle(p) for p in combinations_with_replacement(range(m + 1), n))
 
 
-def _column_refusal(engine: str, length: int) -> CapacityError:
-    return CapacityError(
-        f"{engine} engine capacity exceeded: a column of {length} integers is over the cap {MAX_COLUMN}"
-    )
-
-
-def _recurrence_kernel(p: Heights) -> int:
-    if len(p) > 1 and p[-2] >= MAX_COLUMN:  # its longest column has p_(n-1) + 1 entries
-        raise _column_refusal("recurrence", p[-2] + 1)
-    return count_recurrence(delta(p))
-
-
 def _dp_kernel(p: Heights) -> int:
     if p and p[-1] >= MAX_COLUMN:  # its last column holds heights 0..p_n
         raise _column_refusal("dp", p[-1] + 1)
@@ -294,7 +299,7 @@ def _dp_kernel(p: Heights) -> int:
 
 # engine name -> kernel(heights); a kernel over its cap raises CapacityError
 _KERNELS = {
-    "recurrence": _recurrence_kernel,
+    "recurrence": lambda p: count_recurrence(delta(p)),
     "determinant": count_determinant,
     "triangular": count_triangular,
     "theorem": count_theorem,

@@ -138,29 +138,21 @@ def in_polytope(x: Point, v: Diffs) -> bool:
 
 
 def parse_path_spec(spec: str) -> Heights:
-    """Parse a ``w:`` / ``h:`` / ``d:`` path spec into a height tuple."""
-    if spec.startswith("w:"):
-        body = spec[2:]
-        for ch in body:
-            if ch not in "EN":
-                raise ValueError(f"invalid step {ch!r} in {spec!r} (expected E or N)")
+    """Parse a ``w:`` / ``h:`` / ``d:`` path spec into a height tuple.
+
+    The entries are checked by :func:`word_to_heights`, :func:`validate_heights` and
+    :func:`validate_diffs`; an ``h:`` or ``d:`` entry that ``int`` refuses is named with the spec.
+    """
+    form, body = spec[:2], spec[2:]
+    if form == "w:":
         return word_to_heights(body)
-    if spec.startswith(("h:", "d:")):
-        body = spec[2:]
-        values = []
-        if body:
-            for token in body.split(","):
-                try:
-                    value = int(token)
-                except ValueError:
-                    raise ValueError(f"invalid entry {token!r} in {spec!r}") from None
-                if value < 0:
-                    raise ValueError(f"negative entry {token!r} in {spec!r}")
-                values.append(value)
-        if spec.startswith("d:"):
-            return sigma(tuple(values))
-        return validate_heights(values)
-    raise ValueError(f"path spec {spec!r} must start with w:, h:, or d:")
+    if form not in ("h:", "d:"):
+        raise ValueError(f"path spec {spec!r} must start with w:, h:, or d:")
+    try:
+        values = tuple(map(int, body.split(","))) if body else ()
+    except ValueError as exc:
+        raise ValueError(f"{exc} in {spec!r}") from None
+    return sigma(validate_diffs(values)) if form == "d:" else validate_heights(values)
 
 
 def format_heights(p: Heights) -> str:

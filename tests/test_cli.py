@@ -106,10 +106,17 @@ def test_count_over_int_str_digit_limit(capsys):
 
 
 def test_count_parse_errors_exit_2(capsys):
-    for bad in ("h:1,x", "h:2,1", "q:1", "w:ENQ"):
+    # each bad spec, and the text its error must show to name the bad entry
+    named = {
+        "h:1,x": "'x'", "h:2,1": "found 2 followed by 1", "q:1": "'q:1'", "w:ENQ": "'Q'",
+        "h:-1": "height -1 is negative", "d:1,-1": "difference -1 is negative",
+        "h:1,,2": "'' in 'h:1,,2'", "h:1.5": "'1.5'",
+    }
+    for bad, entry in named.items():
         code, _, err = run(capsys, "count", bad)
         assert code == 2
         assert "error:" in err
+        assert entry in err, bad
 
 
 def test_count_theorem_cap_exit_3(capsys):
@@ -191,6 +198,15 @@ def test_enumerate_count_only(capsys):
     code, out, _ = run(capsys, "enumerate", "h:1,2,3", "--count-only")
     assert code == 0
     assert out == "14\n"
+
+
+def test_enumerate_count_only_json_round_trip(capsys):
+    code, out, _ = run(capsys, "enumerate", "h:1,2,3", "--count-only", "--format", "json")
+    assert code == 0
+    record = json.loads(out)
+    assert record == {"path": {"heights": [1, 2, 3]}, "count": "14"}
+    spec = "h:" + ",".join(map(str, record["path"]["heights"]))
+    assert run(capsys, "enumerate", spec, "--count-only")[1].strip() == record["count"]
 
 
 def test_enumerate_count_only_long_path(capsys):
@@ -362,6 +378,15 @@ def test_symbolic_count_terms(capsys):
     code, out, _ = run(capsys, "symbolic", "3", "--count-terms")
     assert code == 0
     assert out == "14\n"
+
+
+def test_symbolic_count_terms_json_round_trip(capsys):
+    code, out, _ = run(capsys, "symbolic", "3", "--count-terms", "--format", "json")
+    assert code == 0
+    record = json.loads(out)
+    assert record == {"nvars": 3, "term_count": "14"}
+    code, out, _ = run(capsys, "symbolic", str(record["nvars"]), "--format", "json")
+    assert len(json.loads(out)["terms"]) == int(record["term_count"])
 
 
 def test_symbolic_expand(capsys):

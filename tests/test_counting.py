@@ -533,6 +533,21 @@ def test_count_dispatch():
         count((1,), "magic")
     with pytest.raises(ValueError):
         count((2, 1), "dp")
+    # count checks the path before any engine sees it: no engine counts a decreasing or negative path
+    for engine in ENGINES:
+        with pytest.raises(ValueError, match=re.escape("heights must be nondecreasing (found 3 followed by 1)")):
+            count((3, 1), engine)
+        with pytest.raises(ValueError, match="height -1 is negative"):
+            count((-1,), engine)
+
+
+def test_engine_kernels_are_not_exported():
+    # the engines check no path; they are reached only through count, which does
+    public = [getattr(pathcount, name) for name in pathcount.__all__]
+    for engine, kernel in counting._KERNELS.items():
+        assert all(obj is not kernel for obj in public), engine
+    engine_bodies = {"count_recurrence", "count_determinant", "count_triangular", "count_theorem"}
+    assert not engine_bodies & (set(pathcount.__all__) | set(vars(pathcount)))
 
 
 def test_non_integer_heights_refused_by_every_engine():
@@ -558,6 +573,15 @@ def test_column_guard(monkeypatch):
         count((1, 5), "dp")
     with pytest.raises(CapacityError, match="recurrence engine capacity exceeded: a column of 6 "):
         count((5, 9), "recurrence")
+    # count_recurrence guards its own column: the difference vector of (5, 9) is refused alike
+    with pytest.raises(CapacityError) as direct:
+        count_recurrence((5, 4))
+    with pytest.raises(CapacityError) as through_count:
+        count((5, 9), "recurrence")
+    assert str(direct.value) == str(through_count.value)
+    for v in ((10**9, 1), (10**30, 1)):  # (10**30, 1) is past len(): refused, not overflowed
+        with pytest.raises(CapacityError, match=f"a column of {v[0] + 1} integers"):
+            count_recurrence(v)
     assert count((10**9,), "recurrence") == 10**9 + 1  # one column, never built
     # dp_oracle itself stays unguarded for macmahon_bruteforce
     assert dp_oracle((1, 5)) == 11
