@@ -8,7 +8,8 @@ Five engines compute it:
   column one running sum of the last, a run of zero differences paid at once;
 * ``determinant`` - Kreweras' binomial determinant; its matrix is upper
   Hessenberg with every subdiagonal entry 1, so one cofactor expansion row by
-  row evaluates it exactly, with no division and no pivot search;
+  row evaluates it exactly with no pivot search: the minors divide by nothing,
+  and each row's binomials step along it by one exact small division;
 * ``triangular``  - banded forward substitution through the triangular
   system behind that determinant, stepping each live binomial in place;
 * ``theorem``     - sum of binomial products over the lattice points of the
@@ -128,15 +129,22 @@ def count_determinant(p: Heights) -> int:
     and binom(p_i + 1, j - i + 1) in column j, so expanding along it gives
     M_i(j) = binom(p_i + 1, j - i + 1) * M_(i-1)(i - 1) - M_(i-1)(j).  The pivot M_(i-1)(i - 1)
     is the leading i x i minor, LP(p_1..p_i), and the determinant is M_(n-1)(n - 1).  One live
-    row of M_i(j) for j >= i is the whole state: ``math.comb`` entries, O(n^2) big-integer
-    operations and no matrix.  The expansion only multiplies and subtracts, so it divides by
-    nothing and needs no pivot search; it holds for any pivot value.  It shares nothing with
-    ``triangular``.  ``p`` is a height tuple :func:`count` has validated.
+    row of M_i(j) for j >= i is the whole state: O(n^2) big-integer operations and no matrix.
+    Along row i, binom(m, k) with m = p_i + 1 steps from binom(m, k - 1) by one exact small
+    division, (m + 1 - k) / k, which reaches 0 at k = m + 1 and stays 0; that is the only
+    division.  The minors only multiply and subtract, so they divide by nothing and need no
+    pivot search; the expansion holds for any pivot value.  The binomial is stepped alone and
+    then multiplied by the pivot: stepping the product in place is ``triangular``'s term
+    arithmetic, and the two engines would then share their intermediates, so their agreement
+    would check less.  ``p`` is a height tuple :func:`count` has validated.
     """
     row = [1] + [0] * len(p)  # M_(-1): the empty minor 1, then M_(-1)(j) = 0 for every column j
     for h in p:
-        pivot = row[0]
-        row = [comb(h + 1, k) * pivot - above for k, above in enumerate(row[1:], 1)]
+        pivot, m, b, nxt = row[0], h + 1, 1, []
+        for k, above in enumerate(row[1:], 1):
+            b = b * (m + 1 - k) // k  # binom(m, k) from binom(m, k - 1); 0 from k = m + 1 on
+            nxt.append(b * pivot - above)
+        row = nxt
     return row[0]
 
 

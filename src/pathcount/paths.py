@@ -25,6 +25,9 @@ Diffs = tuple[int, ...]
 Point = tuple[int, ...]
 Word = str
 
+# characters of a refused spec entry that its error message shows
+SHOWN_CHARS = 20
+
 
 def as_integers(values, what: str) -> tuple[int, ...]:
     """Return ``values`` as a tuple of ints, refusing what ``operator.index`` refuses.
@@ -141,17 +144,22 @@ def parse_path_spec(spec: str) -> Heights:
     """Parse a ``w:`` / ``h:`` / ``d:`` path spec into a height tuple.
 
     The entries are checked by :func:`word_to_heights`, :func:`validate_heights` and
-    :func:`validate_diffs`; an ``h:`` or ``d:`` entry that ``int`` refuses is named with the spec.
+    :func:`validate_diffs`.  An ``h:`` or ``d:`` entry that ``int`` refuses is named by its
+    1-based position and its first ``SHOWN_CHARS`` characters, so the message stays short
+    however long the spec is.
     """
     form, body = spec[:2], spec[2:]
     if form == "w:":
         return word_to_heights(body)
     if form not in ("h:", "d:"):
         raise ValueError(f"path spec {spec!r} must start with w:, h:, or d:")
+    entries, values = body.split(",") if body else [], []
     try:
-        values = tuple(map(int, body.split(","))) if body else ()
-    except ValueError as exc:
-        raise ValueError(f"{exc} in {spec!r}") from None
+        values.extend(map(int, entries))  # keeps the entries read before a refusal
+    except ValueError:
+        bad = entries[len(values)]
+        shown = repr(bad) if len(bad) <= SHOWN_CHARS else repr(bad[:SHOWN_CHARS]) + "..."
+        raise ValueError(f"{form} entry {len(values) + 1} is not an integer: {shown}") from None
     return sigma(validate_diffs(values)) if form == "d:" else validate_heights(values)
 
 

@@ -110,13 +110,26 @@ def test_count_parse_errors_exit_2(capsys):
     named = {
         "h:1,x": "'x'", "h:2,1": "found 2 followed by 1", "q:1": "'q:1'", "w:ENQ": "'Q'",
         "h:-1": "height -1 is negative", "d:1,-1": "difference -1 is negative",
-        "h:1,,2": "'' in 'h:1,,2'", "h:1.5": "'1.5'",
+        "h:1,,2": "h: entry 2 is not an integer: ''", "h:1.5": "'1.5'",
     }
     for bad, entry in named.items():
         code, _, err = run(capsys, "count", bad)
         assert code == 2
         assert "error:" in err
         assert entry in err, bad
+
+
+def test_count_parse_error_names_the_entry_not_the_spec(capsys):
+    # the message once echoed the whole spec: 60 060 bytes of stderr for this one
+    code, out, err = run(capsys, "count", "h:" + "1," * 30000 + "x")
+    assert code == 2
+    assert out == ""
+    assert len(err.encode()) < 200
+    assert "entry 30001 " in err
+    code, _, err = run(capsys, "count", "d:1," + "7" * 5000 + "z")
+    assert code == 2
+    assert "d: entry 2 is not an integer: '77777777777777777777'..." in err
+    assert len(err.encode()) < 200
 
 
 def test_count_theorem_cap_exit_3(capsys):

@@ -471,17 +471,24 @@ def test_recurrence_weighted_sum_on_long_low_paths(weighted_sums):
         assert weighted_sums, (n, top)
 
 
+def code_names(code):
+    """Every global and attribute name ``code`` and the code nested in it refer to."""
+    yield from code.co_names
+    for const in code.co_consts:
+        if hasattr(const, "co_names"):
+            yield from code_names(const)
+
+
 def test_reference_oracles_do_not_call_running_sums():
     # dp, recurrence and theorem share _running_sums, so agreement between them cannot show a
     # fault in it; each is checked against one of these, which must not reach it
-    def names(code):
-        yield from code.co_names
-        for const in code.co_consts:
-            if hasattr(const, "co_names"):
-                yield from names(const)
-
     for oracle in (theorem_walk, theorem_table, dp_columns, recurrence_columns):
-        assert "_running_sums" not in set(names(oracle.__code__)), oracle.__name__
+        assert "_running_sums" not in set(code_names(oracle.__code__)), oracle.__name__
+
+
+def test_determinant_steps_its_binomials():
+    # a full binomial per entry cost the engine over half its time; each row steps them instead
+    assert not {"comb", "binom"} & set(code_names(count_determinant.__code__))
 
 
 def test_dp_oracle_weighted_sum_on_long_runs_over_short_columns(weighted_sums):
@@ -622,7 +629,8 @@ def test_cross_engine_randomized():
 
 
 def test_cross_engine_large_random_paths():
-    # n = 200 and 400, which the O(n^2) elimination of the Hessenberg Kreweras matrix reaches
+    # n = 200 and 400, which the determinant's live row of minors, O(n^2) big-integer
+    # operations, reaches in a fraction of a second
     rng = random.Random(400)
     for n in (200, 400):
         p = tuple(sorted(rng.randint(0, n) for _ in range(n)))
@@ -640,6 +648,16 @@ def test_determinant_matches_det_int_on_the_full_kreweras_matrix():
         assert count_determinant(p) == det_int(full), p
 
 
+def test_determinant_kernel_is_the_hessenberg_expansion_on_unsorted_heights():
+    # on a nondecreasing path every minor past a row's zero binomial is itself zero, so only
+    # unsorted heights, outside what count passes, show a kernel that stops negating them
+    rng = random.Random(6)
+    for _ in range(300):
+        p = tuple(rng.randint(0, 5) for _ in range(rng.randint(0, 12)))
+        full = [[binom(p[i] + 1, j - i + 1) for j in range(len(p))] for i in range(len(p))]
+        assert count_determinant(p) == det_int(full), p
+
+
 def test_determinant_matches_triangular_on_short_tall_paths():
     rng = random.Random(50)
     for top in (10, 10**5, 10**10, 10**15):
@@ -647,6 +665,25 @@ def test_determinant_matches_triangular_on_short_tall_paths():
         assert count_determinant(p) == count_triangular(p), top
     p = (10**15,) * 50
     assert count_determinant(p) == count_triangular(p) == binom(10**15 + 50, 50)
+
+
+def test_determinant_matches_triangular_on_large_short_tall_paths():
+    # 160 x 10^13 and 250 x 10^20: the stepped binomials pass 2^53 in every row, and the
+    # minors reach thousands of bits
+    rng = random.Random(250)
+    for n, top in ((160, 10**13), (250, 10**20)):
+        p = tuple(sorted(rng.randint(0, top) for _ in range(n)))
+        assert count_determinant(p) == count_triangular(p), (n, top)
+
+
+def test_determinant_matches_dp_on_every_small_path():
+    # all 1 716 paths with n <= 6 and heights <= 6; a row whose height is low against the
+    # minors it still carries steps its binomial to zero, and every minor past that must
+    # still be negated
+    paths = [p for n in range(7) for p in nondecreasing_tuples(n, 6)]
+    assert len(paths) == 1716
+    for p in paths:
+        assert count_determinant(p) == dp_oracle(p), p
 
 
 def test_restriction_bijection_counts():
