@@ -129,10 +129,10 @@ def count_determinant(p: Heights) -> int:
     and binom(p_i + 1, j - i + 1) in column j, so expanding along it gives
     M_i(j) = binom(p_i + 1, j - i + 1) * M_(i-1)(i - 1) - M_(i-1)(j).  The pivot M_(i-1)(i - 1)
     is the leading i x i minor, LP(p_1..p_i), and the determinant is M_(n-1)(n - 1).  One live
-    row of M_i(j) for j >= i is the whole state: O(n^2) big-integer operations and no matrix.
-    Along row i, binom(m, k) with m = p_i + 1 steps from binom(m, k - 1) by one exact small
-    division, (m + 1 - k) / k, which reaches 0 at k = m + 1 and stays 0; that is the only
-    division.  The minors only multiply and subtract, so they divide by nothing and need no
+    row of M_i(j) for j >= i, rebuilt in place, is the whole state: O(n^2) big-integer
+    operations and no matrix.  Along row i, binom(m, k) with m = p_i + 1 steps from
+    binom(m, k - 1) by one exact small division, (m + 1 - k) / k, which reaches 0 at
+    k = m + 1 and stays 0; that is the only division.  The minors only multiply and subtract, so they divide by nothing and need no
     pivot search; the expansion holds for any pivot value.  The binomial is stepped alone and
     then multiplied by the pivot: stepping the product in place is ``triangular``'s term
     arithmetic, and the two engines would then share their intermediates, so their agreement
@@ -140,11 +140,11 @@ def count_determinant(p: Heights) -> int:
     """
     row = [1] + [0] * len(p)  # M_(-1): the empty minor 1, then M_(-1)(j) = 0 for every column j
     for h in p:
-        pivot, m, b, nxt = row[0], h + 1, 1, []
-        for k, above in enumerate(row[1:], 1):
+        pivot, m, b = row[0], h + 1, 1
+        for k in range(1, len(row)):  # row[k] is read before row[k - 1] is set: it moves down one
             b = b * (m + 1 - k) // k  # binom(m, k) from binom(m, k - 1); 0 from k = m + 1 on
-            nxt.append(b * pivot - above)
-        row = nxt
+            row[k - 1] = b * pivot - row[k]
+        row.pop()  # the last entry, already moved down
     return row[0]
 
 
