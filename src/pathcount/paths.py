@@ -140,26 +140,31 @@ def in_polytope(x: Point, v: Diffs) -> bool:
     return True
 
 
+def _shown(text: str) -> str:
+    """``text`` quoted, cut to its first ``SHOWN_CHARS`` characters."""
+    return repr(text) if len(text) <= SHOWN_CHARS else repr(text[:SHOWN_CHARS]) + "..."
+
+
 def parse_path_spec(spec: str) -> Heights:
     """Parse a ``w:`` / ``h:`` / ``d:`` path spec into a height tuple.
 
     The entries are checked by :func:`word_to_heights`, :func:`validate_heights` and
     :func:`validate_diffs`.  An ``h:`` or ``d:`` entry that ``int`` refuses is named by its
-    1-based position and its first ``SHOWN_CHARS`` characters, so the message stays short
-    however long the spec is.
+    1-based position.  That refusal and a bad prefix show at most ``SHOWN_CHARS`` characters
+    of the spec, so their messages stay short however long the spec is.
     """
     form, body = spec[:2], spec[2:]
     if form == "w:":
         return word_to_heights(body)
     if form not in ("h:", "d:"):
-        raise ValueError(f"path spec {spec!r} must start with w:, h:, or d:")
-    entries, values = body.split(",") if body else [], []
+        raise ValueError(f"path spec {_shown(spec)} must start with w:, h:, or d:")
+    entries = body.split(",") if body else []
+    values = []
     try:
         values.extend(map(int, entries))  # keeps the entries read before a refusal
     except ValueError:
-        bad = entries[len(values)]
-        shown = repr(bad) if len(bad) <= SHOWN_CHARS else repr(bad[:SHOWN_CHARS]) + "..."
-        raise ValueError(f"{form} entry {len(values) + 1} is not an integer: {shown}") from None
+        i = len(values)
+        raise ValueError(f"{form} entry {i + 1} is not an integer: {_shown(entries[i])}") from None
     return sigma(validate_diffs(values)) if form == "d:" else validate_heights(values)
 
 

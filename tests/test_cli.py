@@ -130,6 +130,10 @@ def test_count_parse_error_names_the_entry_not_the_spec(capsys):
     assert code == 2
     assert "d: entry 2 is not an integer: '77777777777777777777'..." in err
     assert len(err.encode()) < 200
+    code, _, err = run(capsys, "count", "q:" + "1," * 30000)
+    assert code == 2
+    assert "path spec 'q:1,1,1,1,1,1,1,1,1,'... must start with" in err
+    assert len(err.encode()) < 200
 
 
 def test_count_theorem_cap_exit_3(capsys):
