@@ -132,11 +132,12 @@ def count_determinant(p: Heights) -> int:
     row of M_i(j) for j >= i, rebuilt in place, is the whole state: O(n^2) big-integer
     operations and no matrix.  Along row i, binom(m, k) with m = p_i + 1 steps from
     binom(m, k - 1) by one exact small division, (m + 1 - k) / k, which reaches 0 at
-    k = m + 1 and stays 0; that is the only division.  The minors only multiply and subtract, so they divide by nothing and need no
-    pivot search; the expansion holds for any pivot value.  The binomial is stepped alone and
-    then multiplied by the pivot: stepping the product in place is ``triangular``'s term
-    arithmetic, and the two engines would then share their intermediates, so their agreement
-    would check less.  ``p`` is a height tuple :func:`count` has validated.
+    k = m + 1 and stays 0; that is the only division.  The minors only multiply and
+    subtract, so they divide by nothing and need no pivot search; the expansion holds for any
+    pivot value.  The binomial is stepped alone and then multiplied by the pivot: stepping the
+    product in place is ``triangular``'s term arithmetic, and the two engines would then share
+    their intermediates, so their agreement would check less.  ``p`` is a height tuple
+    :func:`count` has validated.
     """
     row = [1] + [0] * len(p)  # M_(-1): the empty minor 1, then M_(-1)(j) = 0 for every column j
     for h in p:

@@ -25,7 +25,7 @@ Diffs = tuple[int, ...]
 Point = tuple[int, ...]
 Word = str
 
-# characters of a refused spec entry that its error message shows
+# characters of a refused spec, or of its bad entry, that the error message shows
 SHOWN_CHARS = 20
 
 

@@ -677,9 +677,8 @@ def test_determinant_matches_triangular_on_large_short_tall_paths():
 
 
 def test_determinant_matches_dp_on_every_small_path():
-    # all 1 716 paths with n <= 6 and heights <= 6; a row whose height is low against the
-    # minors it still carries steps its binomial to zero, and every minor past that must
-    # still be negated
+    # all 1 716 paths with n <= 6 and heights <= 6, where many rows step their binomial to
+    # zero before they end
     paths = [p for n in range(7) for p in nondecreasing_tuples(n, 6)]
     assert len(paths) == 1716
     for p in paths:
