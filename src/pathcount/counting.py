@@ -21,8 +21,10 @@ Five engines compute it:
   oracle the others are checked against.
 
 ``recurrence``, ``theorem`` and ``dp`` pay k running sums over c entries through one
-helper, ``_running_sums``: as k passes or, when c times the 30-bit digits of
-binom(k + c - 2, c - 1) is under 2k, as one sum weighted by binom(k - 1 + d, d).
+helper, ``_running_sums``: as k passes or as one sum weighted by binom(k - 1 + d, d) when
+that wins on both counts, the interpreter's steps (about 2c against k, so 2c <= k) and the
+work in C (c times the 30-bit digits of binom(k + c - 2, c - 1) under 2k).  A short column
+is paid by passes, as the interpreted steps of the weighted sum would cost more there.
 The engines are reached through :func:`count`, which validates the path once and runs its
 kernel from ``_KERNELS``; the engine functions assume a validated path, so ``pathcount``
 does not export them.  All engines agree on every input; the test suite and the ``verify``
@@ -201,13 +203,16 @@ def _running_sums(column: list[int], k: int) -> list[int]:
     """Return ``column`` after k running-sum passes.
 
     After k passes entry i is the sum over t <= i of binom(k - 1 + i - t, i - t) * column[t].
-    With c = len(column) the passes cost k * c additions; that weighted sum costs c^2 / 2
-    products, each as long as its largest weight binom(k + c - 2, c - 1), counted here in
-    30-bit digits.  So the weighted sum is taken when c * (digits of that weight) < 2k, and the
-    k passes otherwise; an empty column, which the passes leave empty, never reaches ``comb``.
+    With c = len(column) the passes cost k * c additions in C and k interpreted steps, one
+    ``accumulate`` call each.  That weighted sum costs c^2 / 2 products in C, each as long as its
+    largest weight binom(k + c - 2, c - 1), counted here in 30-bit digits, and about 2c
+    interpreted steps: c - 1 weight steps and c ``sum`` calls.  On short columns those steps,
+    not the arithmetic, are the cost, so the weighted sum is taken only when it wins on both
+    counts, 2c <= k and c * (digits of that weight) < 2k, and the k passes otherwise.  ``comb`` is
+    reached only once 2c <= k, so never for an empty column, which the passes leave empty.
     """
     c = len(column)
-    if 0 < c < 2 * k and c * (comb(k + c - 2, c - 1).bit_length() // 30 + 1) < 2 * k:
+    if 0 < 2 * c <= k and c * (comb(k + c - 2, c - 1).bit_length() // 30 + 1) < 2 * k:
         weights = [1]  # weights[d] = binom(k - 1 + d, d), stepped exactly from d = 0
         for d in range(1, c):
             weights.append(weights[-1] * (k - 1 + d) // d)

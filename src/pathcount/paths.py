@@ -25,22 +25,42 @@ Diffs = tuple[int, ...]
 Point = tuple[int, ...]
 Word = str
 
-# characters of a refused spec, or of its bad entry, that the error message shows
+# characters of a refused spec, entry or value that the error message shows
 SHOWN_CHARS = 20
+
+
+def _shown(value) -> str:
+    """``value`` as ``repr`` shows it, cut to its first ``SHOWN_CHARS`` characters.
+
+    A string is cut before it is quoted.  An int too long to show is cut before it is
+    converted: floor division by 10**k drops only digits that are not shown, and its quotient
+    is short, so no huge int is converted whole and Python's digit limit is never met.
+    """
+    if type(value) is str:
+        return repr(value) if len(value) <= SHOWN_CHARS else repr(value[:SHOWN_CHARS]) + "..."
+    # 0.30102 < log10 2, so k is under the digit count of an int less SHOWN_CHARS
+    k = (value.bit_length() - 1) * 30102 // 100000 - SHOWN_CHARS if type(value) is int else 0
+    try:
+        text = repr(value) if k <= 0 else ("-" if value < 0 else "") + str(abs(value) // 10**k)
+    except ValueError:  # the repr of some other type, such as a Fraction, met the digit limit
+        text = type(value).__name__ + "(...)"
+    return text if len(text) <= SHOWN_CHARS else text[:SHOWN_CHARS] + "..."
 
 
 def as_integers(values, what: str) -> tuple[int, ...]:
     """Return ``values`` as a tuple of ints, refusing what ``operator.index`` refuses.
 
     A float, string or ``Fraction`` entry raises ``ValueError`` naming it, so
-    that no engine silently counts below a non-integer path.
+    that no engine silently counts below a non-integer path.  Every refusal here and in
+    :func:`validate_heights` and :func:`validate_diffs` shows the value through
+    ``_shown``, at most ``SHOWN_CHARS`` characters of it.
     """
     out = []
     for x in values:
         try:
             out.append(index(x))
         except TypeError:
-            raise ValueError(f"{what} {x!r} is not an integer") from None
+            raise ValueError(f"{what} {_shown(x)} is not an integer") from None
     return tuple(out)
 
 
@@ -53,8 +73,8 @@ def validate_heights(p) -> Heights:
             return validate_heights(as_integers(p, "height"))
         if h < prev:  # prev >= 0, so a negative height lands here too
             if h < 0:
-                raise ValueError(f"height {h!r} is negative")
-            raise ValueError(f"heights must be nondecreasing (found {prev} followed by {h})")
+                raise ValueError(f"height {_shown(h)} is negative")
+            raise ValueError(f"heights must be nondecreasing (found {_shown(prev)} followed by {_shown(h)})")
         prev = h
     return p
 
@@ -66,7 +86,7 @@ def validate_diffs(v) -> Diffs:
         if type(d) is not int:
             return validate_diffs(as_integers(v, "difference"))
         if d < 0:
-            raise ValueError(f"difference {d!r} is negative")
+            raise ValueError(f"difference {_shown(d)} is negative")
     return v
 
 
@@ -138,11 +158,6 @@ def in_polytope(x: Point, v: Diffs) -> bool:
         if sx > sv:
             return False
     return True
-
-
-def _shown(text: str) -> str:
-    """``text`` quoted, cut to its first ``SHOWN_CHARS`` characters."""
-    return repr(text) if len(text) <= SHOWN_CHARS else repr(text[:SHOWN_CHARS]) + "..."
 
 
 def parse_path_spec(spec: str) -> Heights:

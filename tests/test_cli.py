@@ -119,6 +119,22 @@ def test_count_parse_errors_exit_2(capsys):
         assert entry in err, bad
 
 
+def test_count_refusal_shows_a_cut_of_a_huge_value(capsys):
+    # the validators' messages show a cut of the value, however many digits it has
+    nines = "9" * 30000
+    refused = {
+        "h:-" + nines: "height -9999999999999999999... is negative",
+        "h:" + nines + ",1": "found 99999999999999999999... followed by 1)",
+        "d:1,-" + nines: "difference -9999999999999999999... is negative",
+    }
+    for spec, message in refused.items():
+        code, out, err = run(capsys, "count", spec)
+        assert code == 2
+        assert out == ""
+        assert len(err.encode()) < 200
+        assert message in err, spec[:3]
+
+
 def test_count_parse_error_names_the_entry_not_the_spec(capsys):
     # the message once echoed the whole spec: 60 060 bytes of stderr for this one
     code, out, err = run(capsys, "count", "h:" + "1," * 30000 + "x")

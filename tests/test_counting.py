@@ -8,7 +8,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import accumulate, combinations_with_replacement, product
+from itertools import accumulate, combinations_with_replacement, groupby, product
 from math import comb, prod
 from unittest import mock
 
@@ -32,7 +32,7 @@ from pathcount.counting import (
     macmahon_total,
 )
 from pathcount.exactmath import binom, catalan, det_int
-from pathcount.paths import delta, in_polytope, is_restricted_by, sigma
+from pathcount.paths import delta, in_polytope, is_restricted_by, sigma, validate_diffs
 
 
 def brute_restricted_count(p):
@@ -445,7 +445,7 @@ def test_dp_oracle_matches_dp_columns_on_every_small_bound_tuple():
 @given(st.integers(0, 60), st.data())
 def test_running_sums_equal_k_accumulate_passes_on_random_runs(c, data):
     # k up to 3000 takes both branches; k up to 4c reaches the rule's boundary, which lies
-    # between c / 2 and 3.5c for every c <= 60
+    # between 2c and about 3.5c for every c <= 60
     column = data.draw(st.lists(st.integers(0, 10**30), min_size=c, max_size=c))
     k = data.draw(st.integers(0, 4 * c) | st.integers(0, 3000))
     want = column
@@ -454,6 +454,36 @@ def test_running_sums_equal_k_accumulate_passes_on_random_runs(c, data):
     given_column = list(column)
     assert counting._running_sums(column, k) == want
     assert column == given_column
+
+
+def test_running_sums_take_the_passes_below_k_2c(monkeypatch):
+    # there the weighted sum's 2c interpreted steps cost more than the k passes whatever the
+    # digits, so the rule must not even compute its largest weight
+    def refuse(*args):
+        raise AssertionError(f"comb{args} reached below k = 2c")
+
+    monkeypatch.setattr(counting, "comb", refuse)
+    rng = random.Random(19)
+    for c in range(1, 17):
+        for k in range(2 * c):
+            column = [rng.randint(0, 10**30) for _ in range(c)]
+            want = column
+            for _ in range(k):
+                want = list(accumulate(want))
+            assert counting._running_sums(column, k) == want, (c, k)
+
+
+def test_tiny_counts_pay_their_runs_by_passes(weighted_sums):
+    # theorem steps a table of i + 2 entries by x <= 3 sums, so always by passes; dp owes a run
+    # of k + 1 equal bounds h k sums over h + 1 entries, weighted only from k = 2(h + 1) on
+    for n in range(8):
+        for p in nondecreasing_tuples(n, 3):
+            weighted_sums.clear()
+            count_theorem(p)
+            assert not weighted_sums, p
+            long_run = any(len(list(run)) - 1 >= 2 * (h + 1) for h, run in groupby(p))
+            dp_oracle(p)
+            assert bool(weighted_sums) == long_run, p
 
 
 def test_recurrence_matches_recurrence_columns_exhaustively():
@@ -546,6 +576,22 @@ def test_count_dispatch():
             count((3, 1), engine)
         with pytest.raises(ValueError, match="height -1 is negative"):
             count((-1,), engine)
+
+
+def test_refusals_show_a_cut_of_a_huge_value():
+    # a value past Python's 4 300-digit limit cannot be formatted whole: doing so raises Python's
+    # own ValueError in place of the validator's refusal
+    refused = (
+        (lambda: count((-(10**5000),), "dp"), "height -1000000000000000000... is negative"),
+        (lambda: count((10**5000, 1), "dp"), "found 10000000000000000000... followed by 1)"),
+        (lambda: validate_diffs((1, -(10**5000))), "difference -1000000000000000000... is negative"),
+        (lambda: count(("7" * 5000,), "dp"), "height '77777777777777777777'... is not an integer"),
+        (lambda: count((Fraction(10**5000, 3),), "dp"), "height Fraction(...) is not an integer"),
+    )
+    for call, message in refused:
+        with pytest.raises(ValueError, match=re.escape(message)) as refusal:
+            call()
+        assert len(str(refusal.value)) < 100, message
 
 
 def test_engine_kernels_are_not_exported():
