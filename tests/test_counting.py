@@ -474,8 +474,8 @@ def test_running_sums_take_the_passes_below_k_2c(monkeypatch):
 
 
 def test_tiny_counts_pay_their_runs_by_passes(weighted_sums):
-    # theorem steps a table of i + 2 entries by x <= 3 sums, so always by passes; dp owes a run
-    # of k + 1 equal bounds h k sums over h + 1 entries, weighted only from k = 2(h + 1) on
+    # theorem steps a table of i + 2 entries by x <= 3 sums, so always by passes; for a run of
+    # k + 1 equal bounds h, dp owes k sums over h + 1 entries and weighs them only from k = 2(h + 1)
     for n in range(8):
         for p in nondecreasing_tuples(n, 3):
             weighted_sums.clear()
@@ -536,7 +536,8 @@ def test_dp_oracle_weighted_sum_on_long_runs_over_short_columns(weighted_sums):
 
 
 def test_dp_oracle_passes_on_wide_columns_of_big_integers(weighted_sums):
-    # c < 2k, and in the last even k >= 2c, but the weights' digits make the passes cheaper
+    # the first two owe k < 2c sums; the last owes k >= 2c, but the weights' digits make the
+    # passes cheaper
     paths = [
         tuple(range(1, 301)) + (300,) * 199,
         tuple(range(1, 121)) + (150,) * 100 + (90,) * 60,
