@@ -34,7 +34,7 @@ whose longest column would pass ``MAX_COLUMN``; ``theorem`` refuses n over ``THE
 
 from __future__ import annotations
 
-from itertools import accumulate, combinations_with_replacement
+from itertools import accumulate
 from math import comb
 from operator import mul
 from typing import Iterator
@@ -294,15 +294,30 @@ def macmahon_total(n: int, m: int) -> int:
 
 
 def macmahon_bruteforce(n: int, m: int) -> int:
-    """The same aggregate summed path by path with :func:`dp_oracle`.
+    """The same aggregate summed over every path, sharing :func:`dp_oracle`'s columns.
 
     Paths from (0,0) to (n, m) are exactly the nondecreasing height tuples of
     length n bounded by m (the climb to height m after the last E is forced),
     and for the same reason dp_oracle's free-terminal count already equals the
-    fixed-endpoint count.  A negative coordinate is refused as by :func:`macmahon_total`.
+    fixed-endpoint count.  Paths with a common prefix share that prefix's
+    columns, so one depth-first walk over the nondecreasing prefixes keeps one
+    column per prefix: a child's is the running sum of its parent's, padded
+    with its total up to the child's height, and each path of length n adds
+    its column's sum.  The empty prefix holds one way to stand at height 0.
+    At (7, 7) that is 6 434 column steps in place of 3 432 sweeps of 7 columns
+    each.  A negative coordinate is refused as by :func:`macmahon_total`.
     """
     _check_endpoint(n, m)
-    return sum(dp_oracle(p) for p in combinations_with_replacement(range(m + 1), n))
+    total, stack = 0, [([1], 0)]  # (column, prefix length)
+    while stack:
+        ending, k = stack.pop()
+        if k == n:
+            total += sum(ending)
+            continue
+        ending = list(accumulate(ending))
+        for gap in range(m + 2 - len(ending)):
+            stack.append((ending + ending[-1:] * gap, k + 1))
+    return total
 
 
 def _dp_kernel(p: Heights) -> int:

@@ -34,13 +34,20 @@ def children(y: Point) -> ChildSet:
 
     For y = (y_1, ..., y_k) the children are (y_1, ..., y_k, 0) together with
     (y_1, ..., y_{k-1}, y_k - i, i + 1) for 0 <= i <= y_k, giving y_k + 2 of
-    them.
+    them.  The verify suite calls this on every point of its box, so the kids
+    are built in one plain loop and the record by ``tuple.__new__``, which
+    skips the NamedTuple's Python-level constructor.
     """
     if len(y) == 0:
         raise ValueError("children of the empty point are undefined")
     y = tuple(y)
     head, last = y[:-1], y[-1]
-    return ChildSet(y, (y + (0,), *[head + (last - i, i + 1) for i in range(last + 1)]))
+    kids = [y + (0,)]
+    i = 1
+    for j in range(last, -1, -1):
+        kids.append(head + (j, i))
+        i += 1
+    return tuple.__new__(ChildSet, (y, tuple(kids)))
 
 
 def parent(x: Point) -> Point:

@@ -650,6 +650,46 @@ def test_cross_engine_exhaustive_small():
             assert len(set(values.values())) == 1, (p, values)
 
 
+def transpose(p):
+    """The heights of p's transpose p*: v_n ones, then v_(n-1) twos, ..., then v_1 n's.
+
+    Turning the grid by 180 degrees and reflecting it in the diagonal maps the paths below p
+    onto the paths below p*, so LP(p) = LP(p*).  p* has p_n entries, each at most n: a short,
+    tall path becomes a long, low one with n runs, and the reverse.
+    """
+    n, v = len(p), delta(p)
+    return tuple(n - i for i in reversed(range(n)) for _ in range(v[i]))
+
+
+def test_transpose_examples():
+    assert transpose(()) == ()
+    assert transpose((0, 3)) == (1, 1, 1)
+    assert transpose((1, 2, 3)) == (1, 2, 3)
+    assert transpose((2, 2, 5)) == (1, 1, 1, 3, 3)
+    for n in range(6):
+        for p in nondecreasing_tuples(n, 5):
+            assert transpose(transpose(p)) == p[next((i for i, h in enumerate(p) if h), n):]
+
+
+@given(runs_st)
+def test_each_engine_counts_a_path_and_its_transpose_alike(p):
+    pt = transpose(p)
+    for engine in ENGINES:
+        if engine != "theorem" or max(len(p), len(pt)) <= counting.THEOREM_CAP:
+            assert count(p, engine) == count(pt, engine), engine
+
+
+@pytest.mark.parametrize("n, top", [(160, 10**5), (220, 3 * 10**4)])
+def test_dp_on_a_long_low_transpose_matches_triangular_on_the_short_tall_path(n, top):
+    # at 160 x 10^5 dp pays p*'s runs of equal heights, 26 of them over a thousand long, by
+    # weighted sums; at 220 x 3 * 10^4 triangular's band passes 200 rows
+    rng = random.Random(12)
+    p = tuple(sorted(rng.randint(0, top) for _ in range(n)))
+    pt = transpose(p)
+    assert len(pt) == p[-1] and max(pt) == n
+    assert count(pt, "dp") == count(p, "triangular")
+
+
 def test_cross_engine_under_optimize():
     # a python -O child strips asserts; every engine must still agree
     src = os.path.dirname(os.path.dirname(pathcount.__file__))
@@ -759,10 +799,22 @@ def test_macmahon_bruteforce_refuses_a_negative_endpoint():
                 aggregate(n, m)
 
 
+def macmahon_pathwise(n, m):
+    """Reference aggregate: dp_oracle summed path by path, no column shared."""
+    return sum(dp_oracle(p) for p in nondecreasing_tuples(n, m))
+
+
 def test_macmahon_brute_force_matches():
-    for n in range(6):
-        for m in range(6):
-            assert macmahon_bruteforce(n, m) == macmahon_total(n, m)
+    # every endpoint up to (7, 7), the zero rows included, against both oracles
+    for n in range(8):
+        for m in range(8):
+            assert macmahon_bruteforce(n, m) == macmahon_pathwise(n, m) == macmahon_total(n, m), (n, m)
+
+
+def test_macmahon_bruteforce_at_larger_endpoints():
+    # deeper walks and wider fans than verify's box; 184 756, 969 and 969 paths
+    for n, m in ((10, 10), (16, 3), (3, 16)):
+        assert macmahon_bruteforce(n, m) == macmahon_total(n, m), (n, m)
 
 
 def test_monomial_oracle():

@@ -10,7 +10,9 @@ from pathcount.counting import enumerate_polytope
 from pathcount.exactmath import binom
 from pathcount.identities import (
     CHECKS,
+    ChildSet,
     children,
+    children_points,
     disagreements,
     eq3_sides,
     lemma_closed,
@@ -39,6 +41,31 @@ def test_children_size_and_parent_field():
         assert cs.parent == y
         assert len(cs.children) == y[-1] + 2
         assert len(set(cs.children)) == len(cs.children)
+
+
+def children_oracle(y):
+    """Reference child set: the zero-extended point, then the kids as one comprehension."""
+    y = tuple(y)
+    head, last = y[:-1], y[-1]
+    return ChildSet(y, (y + (0,), *[head + (last - i, i + 1) for i in range(last + 1)]))
+
+
+def test_children_matches_the_oracle_on_the_verify_box():
+    # every point verify checks, in the same order; every seventh also as a list
+    for index, y in enumerate(children_points()):
+        expected = children_oracle(y)
+        assert children(y) == expected, y
+        if index % 7 == 0:
+            got = children(list(y))
+            assert got == expected and type(got.parent) is tuple, y
+
+
+def test_children_returns_a_child_set():
+    cs = children([2, 1])
+    assert type(cs) is ChildSet
+    assert cs.parent == (2, 1) and cs.children == ((2, 1, 0), (2, 1, 1), (2, 0, 2))
+    replaced = cs._replace(children=())
+    assert type(replaced) is ChildSet and replaced == ((2, 1), ())
 
 
 def test_children_of_empty_point_undefined():
