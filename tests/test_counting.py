@@ -637,7 +637,7 @@ def test_column_guard(monkeypatch):
         with pytest.raises(CapacityError, match=f"a column of {v[0] + 1} integers"):
             count_recurrence(v)
     assert count((10**9,), "recurrence") == 10**9 + 1  # one column, never built
-    # dp_oracle itself stays unguarded for macmahon_bruteforce
+    # dp_oracle itself, the public reference sweep, stays unguarded
     assert dp_oracle((1, 5)) == 11
 
 
