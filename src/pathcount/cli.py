@@ -48,6 +48,14 @@ def _print_json(record) -> None:
     print(json.dumps(record))
 
 
+def _emit(args, record, text: str) -> None:
+    """Print one output line: ``record`` as JSON under ``--format json``, else ``text``."""
+    if args.format == "json":
+        _print_json(record)
+    else:
+        print(text)
+
+
 def _refusal(exc: CapacityError) -> str:
     """The reason in a "<what> capacity exceeded: <reason>" refusal."""
     return str(exc).partition("capacity exceeded: ")[2]
@@ -64,13 +72,11 @@ def cmd_count(args) -> int:
             if args.engine != "all":
                 raise
             print(f"note: {engine} engine skipped ({_refusal(exc)})", file=sys.stderr)
+    path = {"heights": list(p)}
     for engine, value in results.items():
-        if args.format == "json":
-            _print_json({"path": {"heights": list(p)}, "engine": engine, "count": str(value)})
-        elif args.engine == "all":
-            print(f"{engine} {value}")
-        else:
-            print(value)
+        text = str(value)
+        _emit(args, {"path": path, "engine": engine, "count": text},
+              f"{engine} {text}" if args.engine == "all" else text)
     if len(set(results.values())) > 1:
         print("error: engines disagree", file=sys.stderr)
         return EXIT_FAILED
@@ -81,10 +87,8 @@ def cmd_enumerate(args) -> int:
     p = _parse_path(args.path)
     total = count(p, "triangular")
     if args.count_only:
-        if args.format == "json":
-            _print_json({"path": {"heights": list(p)}, "count": str(total)})
-        else:
-            print(total)
+        text = str(total)
+        _emit(args, {"path": {"heights": list(p)}, "count": text}, text)
         return EXIT_OK
     if total > ENUMERATE_CAP:
         raise CapacityError(
@@ -101,11 +105,8 @@ def cmd_enumerate(args) -> int:
 def cmd_symbolic(args) -> int:
     if args.count_terms:
         check_nvars(args.n)
-        terms = catalan(args.n + 1)  # one term per point of the all-ones polytope
-        if args.format == "json":
-            _print_json({"nvars": args.n, "term_count": str(terms)})
-        else:
-            print(terms)
+        text = str(catalan(args.n + 1))  # one term per point of the all-ones polytope
+        _emit(args, {"nvars": args.n, "term_count": text}, text)
         return EXIT_OK
     poly = symbolic_lp(args.n)
     if args.expand:
@@ -136,10 +137,8 @@ def cmd_verify(args) -> int:
         bad, summary = CHECKS[name](args.seed)
         all_passed = all_passed and not bad
         detail = bad[0] if bad else summary
-        if args.format == "json":
-            _print_json({"suite": name, "passed": not bad, "detail": detail})
-        else:
-            print(f"{name}: {'FAIL' if bad else 'pass'} ({detail})")
+        _emit(args, {"suite": name, "passed": not bad, "detail": detail},
+              f"{name}: {'FAIL' if bad else 'pass'} ({detail})")
     return EXIT_OK if all_passed else EXIT_FAILED
 
 
@@ -154,14 +153,11 @@ def cmd_probability(args) -> int:
             f"path {format_heights(p)} is inconsistent with endpoint ({n}, {m})"
         )
     favorable, total = count(p, "triangular"), binom(n + m, n)
-    probability = Fraction(favorable, total)
-    if args.format == "json":
-        _print_json({
-            "path": {"heights": list(p)}, "n": n, "m": m, "favorable": str(favorable),
-            "total": str(total), "probability": f"{probability.numerator}/{probability.denominator}",
-        })
-    else:
-        print(probability)
+    ratio = str(Fraction(favorable, total))  # "a/b", or "a" when b is 1
+    _emit(args, {
+        "path": {"heights": list(p)}, "n": n, "m": m, "favorable": str(favorable),
+        "total": str(total), "probability": ratio if "/" in ratio else f"{ratio}/1",
+    }, ratio)
     return EXIT_OK
 
 

@@ -268,9 +268,10 @@ def enumerate_restricted(p: Heights) -> Iterator[Heights]:
     """Yield every nondecreasing q <= p in lexicographic order.
 
     Partial summation maps the polytope's lattice points onto the restricted
-    paths and preserves lexicographic order.
+    paths and preserves lexicographic order.  ``p`` is checked as ``count``
+    checks it, when the first path is asked for.
     """
-    for x in enumerate_polytope(delta(p)):
+    for x in enumerate_polytope(delta(validate_heights(p))):
         yield sigma(x)
 
 

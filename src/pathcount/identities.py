@@ -63,11 +63,13 @@ def parent(x: Point) -> Point:
 
 
 def children_points() -> Iterator[Point]:
-    """Every point with entries <= 6 and length 1..6, then the all-ones polytope points of dimension 1..7."""
+    """Every point with entries <= 6 and length 1..6, then the all-ones polytope points of dimension 7.
+
+    The polytope points of dimension 1..6 have entries <= 6, so the box holds them already.
+    """
     for k in range(1, 7):
         yield from product(range(7), repeat=k)
-    for n in range(1, 8):
-        yield from enumerate_polytope((1,) * n)
+    yield from enumerate_polytope((1,) * 7)
 
 
 def tiling_counts(n: int) -> tuple[int, int, int]:

@@ -597,6 +597,50 @@ def test_verify_all_seed_7_golden(capsys):
     assert run(capsys, "verify", "all", "--seed", "7", "--format", "json") == (0, VERIFY_ALL_SEED_7_JSON, "")
 
 
+SINGLE_RECORD_GOLDEN = {
+    ("count", "h:0,1,1,3"): (
+        "recurrence 10\ndeterminant 10\ntriangular 10\ntheorem 10\ndp 10\n",
+        '{"path": {"heights": [0, 1, 1, 3]}, "engine": "recurrence", "count": "10"}\n'
+        '{"path": {"heights": [0, 1, 1, 3]}, "engine": "determinant", "count": "10"}\n'
+        '{"path": {"heights": [0, 1, 1, 3]}, "engine": "triangular", "count": "10"}\n'
+        '{"path": {"heights": [0, 1, 1, 3]}, "engine": "theorem", "count": "10"}\n'
+        '{"path": {"heights": [0, 1, 1, 3]}, "engine": "dp", "count": "10"}\n',
+    ),
+    ("count", "h:0,1,1,3", "--engine", "dp"): (
+        "10\n",
+        '{"path": {"heights": [0, 1, 1, 3]}, "engine": "dp", "count": "10"}\n',
+    ),
+    ("enumerate", "h:1,2", "--count-only"): (
+        "5\n",
+        '{"path": {"heights": [1, 2]}, "count": "5"}\n',
+    ),
+    ("symbolic", "3", "--count-terms"): (
+        "14\n",
+        '{"nvars": 3, "term_count": "14"}\n',
+    ),
+    ("verify", "eq3"): (
+        "eq3: pass (two-coordinate reduction agrees for all v1, v2, y <= 6)\n",
+        '{"suite": "eq3", "passed": true, "detail": "two-coordinate reduction agrees for all v1, v2, y <= 6"}\n',
+    ),
+    ("probability", "h:1,2", "2", "3"): (
+        "1/2\n",
+        '{"path": {"heights": [1, 2]}, "n": 2, "m": 3, "favorable": "5", "total": "10", "probability": "1/2"}\n',
+    ),
+    ("probability", "h:2,2", "2", "2"): (
+        "1\n",
+        '{"path": {"heights": [2, 2]}, "n": 2, "m": 2, "favorable": "6", "total": "6", "probability": "1/1"}\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", SINGLE_RECORD_GOLDEN)
+def test_single_record_outputs_byte_exact(capsys, argv):
+    # key order and separators too, which the round-trip tests do not see
+    plain, json_lines = SINGLE_RECORD_GOLDEN[argv]
+    assert run(capsys, *argv) == (0, plain, "")
+    assert run(capsys, *argv, "--format", "json") == (0, json_lines, "")
+
+
 def test_verify_all_under_optimize():
     # a python -O child strips asserts; every suite in the registry must still run and pass
     proc = subprocess.run(

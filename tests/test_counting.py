@@ -779,6 +779,16 @@ def test_enumerate_restricted():
         assert all(is_restricted_by(q, p) for q in qs)
 
 
+def test_enumerate_restricted_refuses_heights_as_count_does():
+    stream = enumerate_restricted((3, 1))  # lazy: nothing is checked before the first path
+    with pytest.raises(ValueError, match=r"^heights must be nondecreasing \(found 3 followed by 1\)$"):
+        next(stream)
+    with pytest.raises(ValueError, match=r"^height 1\.5 is not an integer$"):
+        list(enumerate_restricted((1.5,)))
+    with pytest.raises(ValueError, match=r"^height -1 is negative$"):
+        list(enumerate_restricted((-1, 2)))
+
+
 # --- aggregates -------------------------------------------------------------
 
 

@@ -60,6 +60,12 @@ def test_children_matches_the_oracle_on_the_verify_box():
             assert got == expected and type(got.parent) is tuple, y
 
 
+def test_children_points_are_the_box_and_every_polytope_point_once():
+    points = list(children_points())
+    assert len(points) == 138_686 == len(set(points))
+    assert set(points).issuperset(x for n in range(1, 8) for x in enumerate_polytope((1,) * n))
+
+
 def test_children_returns_a_child_set():
     cs = children([2, 1])
     assert type(cs) is ChildSet
