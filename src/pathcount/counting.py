@@ -40,7 +40,7 @@ from operator import mul
 from typing import Iterator
 
 from .exactmath import factorial
-from .paths import Diffs, Heights, Point, delta, sigma, validate_diffs, validate_heights
+from .paths import Diffs, Heights, Point, delta, validate_diffs, validate_heights
 
 # longest path the theorem engine takes; it refuses longer ones, which `count --engine all` skips
 THEOREM_CAP = 14
@@ -267,12 +267,24 @@ def dp_oracle(p: Heights) -> int:
 def enumerate_restricted(p: Heights) -> Iterator[Heights]:
     """Yield every nondecreasing q <= p in lexicographic order.
 
-    Partial summation maps the polytope's lattice points onto the restricted
-    paths and preserves lexicographic order.  ``p`` is checked as ``count``
-    checks it, when the first path is asked for.
+    An odometer over heights: each step raises the last height below its
+    bound and sets every later height to the new value, the least a
+    nondecreasing path allows; p nondecreasing keeps them under their bounds.
+    Partial summation maps these paths onto the polytope's lattice points in
+    the same order.  ``p`` is checked as ``count`` checks it, when the first
+    path is asked for.
     """
-    for x in enumerate_polytope(delta(validate_heights(p))):
-        yield sigma(x)
+    p = validate_heights(p)
+    n = len(p)
+    q = [0] * n
+    while True:
+        yield tuple(q)
+        i = n - 1
+        while i >= 0 and q[i] == p[i]:
+            i -= 1
+        if i < 0:
+            return
+        q[i:] = [q[i] + 1] * (n - i)
 
 
 def _check_endpoint(n: int, m: int) -> None:

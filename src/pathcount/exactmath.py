@@ -25,17 +25,21 @@ def binom(n: int, k: int) -> int:
     ``binom(n, 0) == 1`` for every integer ``n`` (including negatives) and
     ``binom(-1, k) == 0`` for ``k >= 1``, the m = -1 case of the binomial
     series.  ``k < 0`` gives 0.  Arguments with ``n <= -2`` and ``k >= 1``
-    never arise in this library and raise ``ValueError``.
+    never arise in this library and raise ``ValueError``; a non-int argument
+    raises ``TypeError``.  ``math.comb`` answers first: it refuses only a
+    negative argument, and only then is the extension consulted.
     """
+    try:
+        return math.comb(n, k)
+    except ValueError:
+        pass
     if k < 0:
         return 0
     if k == 0:
         return 1
     if n < -1:
         raise ValueError(f"binom({n}, {k}): n <= -2 with k >= 1 is outside the supported domain")
-    if n < k:
-        return 0
-    return math.comb(n, k)
+    return 0
 
 
 factorial = math.factorial

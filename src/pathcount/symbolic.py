@@ -6,15 +6,18 @@ the term carries coefficient prod_i 1/x_i! and the rising-factorial product
 prod_i v_{n+1-i}^(x_i).  Stored exponent tuples ARE the lattice points, so
 position i of a tuple belongs to variable v_{n+1-i}; this reversal lives in
 exactly two places (:func:`evaluate` and :func:`expand`).  Monomial-basis
-expansions store exponents in natural v_1..v_n order instead.
+expansions store exponents in natural v_1..v_n order instead.  Every prefix
+of a lattice point is a lattice point one dimension down, so the terms form
+a prefix tree with C_2, ..., C_{n+1} nodes per level, and :func:`evaluate`
+runs Horner's rule on it: one product per node, not n + 1 per term.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain, product
+from itertools import chain, compress, count, product
 from math import lcm, prod
-from operator import lt
+from operator import itemgetter, lt, mul, ne
 from typing import NamedTuple
 
 from .counting import CapacityError, enumerate_polytope
@@ -117,18 +120,26 @@ class MonomialPolynomial(
         return cls(*iterable)
 
 
-def _integer_form(exps, coeffs) -> tuple[list[tuple[tuple[int, ...], set[int]]], int, list[int]]:
-    """What ``evaluate`` needs of the terms ``zip(exps, coeffs)``.
+def _integer_form(exps, coeffs) -> tuple[list[tuple[int, list[int], list[slice]]], int, list[int]]:
+    """What ``evaluate`` needs of the terms ``zip(exps, coeffs)``, ``exps`` sorted and distinct.
 
-    Returns each exponent column with the set of exponents in it, the lcm of
-    the coefficient denominators, and each coefficient's numerator scaled to
-    that lcm.
+    Returns the prefix tree of the exponent tuples, the lcm of the coefficient
+    denominators, and each coefficient's numerator scaled to that lcm.  The
+    tree is one level per column, from the last column up: the column index,
+    the exponent at each node (a prefix ending in that column), and one
+    ``slice`` per parent over its children.  The leaves are the terms.
     """
     dens = {c.denominator for c in coeffs}
     common = lcm(*dens)
     scale = {d: common // d for d in dens}
     numerators = [c.numerator * scale[c.denominator] for c in coeffs]
-    return [(column, set(column)) for column in zip(*exps)], common, numerators
+    levels = []
+    for col in reversed(range(len(exps[0]) if exps else 0)):
+        parents = list(map(itemgetter(slice(col)), exps))
+        starts = list(compress(count(), map(ne, parents, [None, *parents])))
+        levels.append((col, [e[col] for e in exps], list(map(slice, starts, [*starts[1:], len(exps)]))))
+        exps = [parents[i] for i in starts]
+    return levels, common, numerators
 
 
 def check_nvars(n: int) -> None:
@@ -179,10 +190,10 @@ def expand(rf: RFPolynomial) -> MonomialPolynomial:
     lcm of the denominators, one ``Fraction`` per monomial at the end.
     """
     from fractions import Fraction
-    columns, common, numerators = rf._form
+    levels, common, numerators = rf._form
     # the degrees and the coefficients of the nonzero entries of _rf_coeffs(m), for each exponent m present
     nonzero = {}
-    for m in set().union(*(present for _, present in columns)):
+    for m in set().union(*(exponents for _, exponents, _ in levels)):
         c = _rf_coeffs(m)
         nonzero[m] = [d for d in range(m + 1) if c[d]], [x for x in c if x]
     out: dict[tuple[int, ...], int] = {}
@@ -199,16 +210,19 @@ def evaluate(poly: RFPolynomial | MonomialPolynomial, v: Diffs) -> Fraction:
     """Exact value at the integer point ``v``, as a ``Fraction`` with denominator 1.
 
     Any integer point will do, negative entries included; a non-integer entry
-    raises ``ValueError``.  The sum is taken over the integers: every
-    coefficient's numerator is scaled to the lcm of the denominators, each
-    variable multiplies in its factors column by column from a table of the
-    exponents present in its column (rising factorials of the reversed ``v``
-    for the rising-factorial basis, powers of ``v`` for the monomial one), and
-    one division ends it.  The columns, the lcm and the scaled numerators are
-    built once per ``RFPolynomial``, on its first evaluation or expansion, and
-    on every call for a ``MonomialPolynomial``.  These polynomials take integer values at
-    integer points; a non-integer value raises ``ArithmeticError``.  Both bases
-    refuse a negative exponent, or a tuple of the wrong length, when built.
+    raises ``ValueError``.  The sum is taken over the integers by Horner's rule
+    on the prefix tree of the sorted exponent tuples (see ``_integer_form``):
+    the leaves start as the coefficient numerators scaled to the lcm of the
+    denominators; from the last column up, each node multiplies in its factor,
+    from a table of the exponents present in that column (rising factorials
+    of the reversed ``v`` for the rising-factorial basis, powers of ``v`` for
+    the monomial one), and each parent takes the sum of its children; one
+    division ends it.  The tree, the lcm and the scaled numerators are built
+    once per ``RFPolynomial``, on its first evaluation or expansion, and on
+    every call for a ``MonomialPolynomial``, whose keys are sorted first.
+    These polynomials take integer values at integer points; a non-integer
+    value raises ``ArithmeticError``.  Both bases refuse a negative exponent,
+    or a tuple of the wrong length, when built.
     """
     from fractions import Fraction
     v = as_integers(v, "value")
@@ -217,15 +231,15 @@ def evaluate(poly: RFPolynomial | MonomialPolynomial, v: Diffs) -> Fraction:
     if isinstance(poly, RFPolynomial):
         form, bases, power = poly._form, v[::-1], rising_factorial
     else:
-        form, bases, power = _integer_form(poly.coeffs, poly.coeffs.values()), v, pow
-    columns, common, numerators = form
-    # one iterator per factor of a term's integer summand, zipped and multiplied term by term
-    factors = [
-        map({e: power(base, e) for e in present}.__getitem__, column)
-        for base, (column, present) in zip(bases, columns)
-    ]
-    factors.append(numerators)
-    total = Fraction(sum(map(prod, zip(*factors))), common)
+        exps = sorted(poly.coeffs)
+        form, bases, power = _integer_form(exps, list(map(poly.coeffs.__getitem__, exps))), v, pow
+    levels, common, values = form
+    # Horner's rule on the prefix tree: each node multiplies in its factor, each parent sums its children
+    for col, exponents, slices in levels:
+        table = {e: power(bases[col], e) for e in set(exponents)}
+        values = list(map(mul, values, map(table.__getitem__, exponents)))
+        values = list(map(sum, map(values.__getitem__, slices)))
+    total = Fraction(sum(values), common)
     if total.denominator != 1:
         raise ArithmeticError(f"count polynomial evaluated to the non-integer {total}")
     return total

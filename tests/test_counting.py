@@ -779,6 +779,18 @@ def test_enumerate_restricted():
         assert all(is_restricted_by(q, p) for q in qs)
 
 
+def test_enumerate_restricted_is_partial_summation_of_the_polytope_points():
+    # two independent odometers, one over heights and one over lattice points,
+    # meet through the partial-summation bijection, order included
+    paths = 0
+    for n in range(7):
+        for p in nondecreasing_tuples(n, 6):
+            qs = list(enumerate_restricted(p))
+            assert qs == list(map(sigma, enumerate_polytope(delta(p)))), p
+            paths += len(qs)
+    assert paths == sum(macmahon_total(n, 6) for n in range(7))
+
+
 def test_enumerate_restricted_refuses_heights_as_count_does():
     stream = enumerate_restricted((3, 1))  # lazy: nothing is checked before the first path
     with pytest.raises(ValueError, match=r"^heights must be nondecreasing \(found 3 followed by 1\)$"):

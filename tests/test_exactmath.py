@@ -66,6 +66,37 @@ def test_binom_extension_values():
     assert binom(2, 5) == 0
 
 
+def test_binom_follows_the_documented_convention_over_a_grid():
+    # the convention written out case by case, with no math.comb
+    def convention(n, k):
+        if k < 0:
+            return 0
+        if k == 0:
+            return 1
+        if n <= -2:
+            return ValueError
+        if k > n:
+            return 0
+        return math.prod(range(n - k + 1, n + 1)) // math.factorial(k)
+
+    refused = 0
+    for n in range(-6, 41):
+        for k in range(-6, 46):
+            want = convention(n, k)
+            if want is ValueError:
+                with pytest.raises(ValueError, match=rf"^binom\({n}, {k}\): n <= -2 with k >= 1 "):
+                    binom(n, k)
+                refused += 1
+            else:
+                got = binom(n, k)
+                assert type(got) is int and got == want, (n, k)
+    assert refused == 5 * 45
+    # a non-int argument is refused whatever k is, k <= 0 included
+    for n, k in ((2.5, 0), (2.5, -1), (2.5, 1), (0.5, 1), (3, 1.5), (2, -0.5), (Fraction(4), 0)):
+        with pytest.raises(TypeError):
+            binom(n, k)
+
+
 def test_binom_rejects_domain_under_optimize():
     # the domain check must survive python -O, which strips asserts
     src = os.path.dirname(os.path.dirname(pathcount.__file__))

@@ -309,6 +309,36 @@ def test_evaluate_reuses_the_form_of_one_polynomial():
             assert evaluate(half, v) == expected
 
 
+def test_evaluate_walks_the_prefix_tree_of_the_terms(monkeypatch):
+    # the prefixes of the polytope points of dimension n are the points of
+    # dimension k <= n, so the tree has C_{n+1}, ..., C_2 nodes, one product each
+    products = 0
+
+    def counted(a, b):
+        nonlocal products
+        products += 1
+        return a * b
+
+    monkeypatch.setattr(pathcount.symbolic, "mul", counted)
+    for n in range(9):
+        rf = symbolic_lp(n)
+        levels = rf._form[0]
+        assert [col for col, _, _ in levels] == list(range(n - 1, -1, -1))
+        assert [len(exponents) for _, exponents, _ in levels] == [catalan(k) for k in range(n + 1, 1, -1)]
+        # reading the tree from the root down gives back the terms, in order
+        prefixes = [()]
+        for _, exponents, slices in reversed(levels):
+            assert len(slices) == len(prefixes)
+            assert [s.start for s in slices] == [0, *(s.stop for s in slices[:-1])]
+            assert slices[-1].stop == len(exponents) and all(s.start < s.stop for s in slices)
+            prefixes = [(*prefix, e) for prefix, s in zip(prefixes, slices) for e in exponents[s]]
+        assert prefixes == [t.exponents for t in rf.terms]
+        products = 0
+        v = tuple(range(2, n + 2))
+        assert evaluate(rf, v) == count_recurrence(v)
+        assert products == sum(catalan(k) for k in range(2, n + 2))
+
+
 def test_copies_of_an_evaluated_polynomial_behave_as_new_ones():
     rf = symbolic_lp(4)
     fresh = symbolic_lp(4)
