@@ -39,7 +39,7 @@ def binom(n: int, k: int) -> int:
         return 1
     if n < -1:
         raise ValueError(f"binom({n}, {k}): n <= -2 with k >= 1 is outside the supported domain")
-    return 0
+    return 0  # n == -1 and k >= 1
 
 
 factorial = math.factorial

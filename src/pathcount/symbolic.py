@@ -136,6 +136,7 @@ def _integer_form(exps, coeffs) -> tuple[list[tuple[int, list[int], list[slice]]
     levels = []
     for col in reversed(range(len(exps[0]) if exps else 0)):
         parents = list(map(itemgetter(slice(col)), exps))
+        # a node opens its parent's run of children where its prefix differs from the node before
         starts = list(compress(count(), map(ne, parents, [None, *parents])))
         levels.append((col, [e[col] for e in exps], list(map(slice, starts, [*starts[1:], len(exps)]))))
         exps = [parents[i] for i in starts]
