@@ -120,27 +120,32 @@ class MonomialPolynomial(
         return cls(*iterable)
 
 
-def _integer_form(exps, coeffs) -> tuple[list[tuple[int, list[int], list[slice]]], int, list[int]]:
+def _integer_form(
+    exps, coeffs
+) -> tuple[list[tuple[int, list[int], list[slice]]], int, list[int], list[set[int]]]:
     """What ``evaluate`` needs of the terms ``zip(exps, coeffs)``, ``exps`` sorted and distinct.
 
     Returns the prefix tree of the exponent tuples, the lcm of the coefficient
-    denominators, and each coefficient's numerator scaled to that lcm.  The
-    tree is one level per column, from the last column up: the column index,
-    the exponent at each node (a prefix ending in that column), and one
-    ``slice`` per parent over its children.  The leaves are the terms.
+    denominators, each coefficient's numerator scaled to that lcm, and the set
+    of exponents present in each level of the tree.  The tree is one level per
+    column, from the last column up: the column index, the exponent at each
+    node (a prefix ending in that column), and one ``slice`` per parent over
+    its children.  The leaves are the terms.
     """
     dens = {c.denominator for c in coeffs}
     common = lcm(*dens)
     scale = {d: common // d for d in dens}
     numerators = [c.numerator * scale[c.denominator] for c in coeffs]
-    levels = []
+    levels, present = [], []
     for col in reversed(range(len(exps[0]) if exps else 0)):
         parents = list(map(itemgetter(slice(col)), exps))
         # a node opens its parent's run of children where its prefix differs from the node before
         starts = list(compress(count(), map(ne, parents, [None, *parents])))
-        levels.append((col, [e[col] for e in exps], list(map(slice, starts, [*starts[1:], len(exps)]))))
+        exponents = [e[col] for e in exps]
+        levels.append((col, exponents, list(map(slice, starts, [*starts[1:], len(exps)]))))
+        present.append(set(exponents))
         exps = [parents[i] for i in starts]
-    return levels, common, numerators
+    return levels, common, numerators, present
 
 
 def check_nvars(n: int) -> None:
@@ -191,10 +196,10 @@ def expand(rf: RFPolynomial) -> MonomialPolynomial:
     lcm of the denominators, one ``Fraction`` per monomial at the end.
     """
     from fractions import Fraction
-    levels, common, numerators = rf._form
+    _, common, numerators, present = rf._form
     # the degrees and the coefficients of the nonzero entries of _rf_coeffs(m), for each exponent m present
     nonzero = {}
-    for m in set().union(*(exponents for _, exponents, _ in levels)):
+    for m in set().union(*present):
         c = _rf_coeffs(m)
         nonzero[m] = [d for d in range(m + 1) if c[d]], [x for x in c if x]
     out: dict[tuple[int, ...], int] = {}
@@ -218,9 +223,10 @@ def evaluate(poly: RFPolynomial | MonomialPolynomial, v: Diffs) -> Fraction:
     from a table of the exponents present in that column (rising factorials
     of the reversed ``v`` for the rising-factorial basis, powers of ``v`` for
     the monomial one), and each parent takes the sum of its children; one
-    division ends it.  The tree, the lcm and the scaled numerators are built
-    once per ``RFPolynomial``, on its first evaluation or expansion, and on
-    every call for a ``MonomialPolynomial``, whose keys are sorted first.
+    division ends it.  The tree, the lcm, the scaled numerators and each
+    level's exponent set are built once per ``RFPolynomial``, on its first
+    evaluation or expansion, and on every call for a ``MonomialPolynomial``,
+    whose keys are sorted first.
     These polynomials take integer values at integer points; a non-integer
     value raises ``ArithmeticError``.  Both bases refuse a negative exponent,
     or a tuple of the wrong length, when built.
@@ -234,10 +240,10 @@ def evaluate(poly: RFPolynomial | MonomialPolynomial, v: Diffs) -> Fraction:
     else:
         exps = sorted(poly.coeffs)
         form, bases, power = _integer_form(exps, list(map(poly.coeffs.__getitem__, exps))), v, pow
-    levels, common, values = form
+    levels, common, values, present = form
     # Horner's rule on the prefix tree: each node multiplies in its factor, each parent sums its children
-    for col, exponents, slices in levels:
-        table = {e: power(bases[col], e) for e in set(exponents)}
+    for (col, exponents, slices), distinct in zip(levels, present):
+        table = {e: power(bases[col], e) for e in distinct}
         values = list(map(mul, values, map(table.__getitem__, exponents)))
         values = list(map(sum, map(values.__getitem__, slices)))
     total = Fraction(sum(values), common)

@@ -741,10 +741,33 @@ def test_determinant_kernel_is_the_hessenberg_expansion_on_unsorted_heights():
     # on a nondecreasing path every minor past a row's zero binomial is itself zero, so only
     # unsorted heights, outside what count passes, show a kernel that stops negating them
     rng = random.Random(6)
-    for _ in range(300):
-        p = tuple(rng.randint(0, 5) for _ in range(rng.randint(0, 12)))
+    paths = [tuple(rng.randint(0, 5) for _ in range(rng.randint(0, 12))) for _ in range(300)]
+    # a tall height after zeros and ones leaves a zero tail that the short rows after it shrink
+    paths += [tuple(rng.choice((0, 1, 9)) for _ in range(rng.randint(0, 16))) for _ in range(300)]
+    for p in paths:
         full = [[binom(p[i] + 1, j - i + 1) for j in range(len(p))] for i in range(len(p))]
         assert count_determinant(p) == det_int(full), p
+
+
+def test_determinant_rows_stop_at_their_zero_tail(monkeypatch):
+    # row i of a nondecreasing path has min(n - i, p_i + 1) nonzero minors; the whole live row
+    # would be n - i steps, n^2 / 2 in all, on a long, low path
+    steps = 0
+
+    def counted(*args):
+        nonlocal steps
+        r = range(*args)
+        steps += len(r)
+        return r
+
+    monkeypatch.setattr(counting, "range", counted, raising=False)
+    rng = random.Random(23)
+    for n, top in ((2000, 3), (600, 20), (200, 200)):
+        p = tuple(sorted(rng.randint(0, top) for _ in range(n)))
+        steps = 0
+        got = count_determinant(p)
+        assert steps <= sum(min(n - i, h + 1) for i, h in enumerate(p)), (n, top)
+        assert got == dp_oracle(p), (n, top)
 
 
 def test_determinant_matches_triangular_on_short_tall_paths():

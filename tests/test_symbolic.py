@@ -333,9 +333,13 @@ def test_evaluate_walks_the_prefix_tree_of_the_terms(monkeypatch):
             assert slices[-1].stop == len(exponents) and all(s.start < s.stop for s in slices)
             prefixes = [(*prefix, e) for prefix, s in zip(prefixes, slices) for e in exponents[s]]
         assert prefixes == [t.exponents for t in rf.terms]
+        # each level's exponent set is built with the form, once, not on every evaluation
+        assert rf._form[3] == [set(exponents) for _, exponents, _ in levels]
         products = 0
         v = tuple(range(2, n + 2))
+        monkeypatch.setattr(pathcount.symbolic, "set", None, raising=False)  # a set built here fails
         assert evaluate(rf, v) == count_recurrence(v)
+        monkeypatch.delattr(pathcount.symbolic, "set")
         assert products == sum(catalan(k) for k in range(2, n + 2))
 
 
