@@ -27,6 +27,10 @@ helper, ``_running_sums``: as k passes or as one sum weighted by binom(k - 1 + d
 that wins on both counts, the interpreter's steps (about 2c against k, so 2c <= k) and the
 work in C (c times the 30-bit digits of binom(k + c - 2, c - 1) under 2k).  A short column
 is paid by passes, as the interpreted steps of the weighted sum would cost more there.
+``dp`` and ``theorem`` read their last column only as its total, so they pay its sums through
+``_running_total``: one sum of c products weighted by binom(k + d, d), about c interpreted
+steps, in place of k passes whenever those steps and products cost less than k * c additions.
+A path that ends in a run of equal heights pays that run in O(c) steps; (n,) * n costs O(n).
 The engines are reached through :func:`count`, which validates the path once and runs its
 kernel from ``_KERNELS``; the engine functions assume a validated path, so ``pathcount``
 does not export them.  All engines agree on every input; the test suite and the ``verify``
@@ -49,6 +53,8 @@ THEOREM_CAP = 14
 # longest column, in integers, that the dp and recurrence engines may build;
 # two such columns of big integers stay within a few hundred megabytes
 MAX_COLUMN = 10**7
+# an interpreted step costs about as much as this many small additions in C (see _running_total)
+_STEP = 5
 
 
 class CapacityError(Exception):
@@ -200,24 +206,30 @@ def count_theorem(p: Heights) -> int:
     leave slack s.  With w' = [0] + weight, the step for w_i = x > 0 is
     next[m] = sum over u >= m of binom(x - 1 + u - m, u - m) * w'[u], x suffix running
     sums of w'.  Kept reversed, the table takes each new slack-0 entry as an append and
-    these sums as the prefix sums of :func:`_running_sums`.  ``p`` is a height tuple
-    :func:`count` has validated; n > ``THEOREM_CAP`` is refused.
+    these sums as the prefix sums of :func:`_running_sums`.  The last step, x = p_1, is read
+    only as the table's total, which :func:`_running_total` pays in at most n + 1 products.
+    ``p`` is a height tuple :func:`count` has validated; n > ``THEOREM_CAP`` is refused.
     """
     n = len(p)
     if n > THEOREM_CAP:
         raise CapacityError(f"theorem engine capacity exceeded: n = {n} is over the cap {THEOREM_CAP}")
+    if not p:
+        return 1
+    v = delta(p)
     rev = [1]  # the slack table, reversed: rev[-1 - s] is the weight of slack s
-    for x in reversed(delta(p)):
+    for x in v[:0:-1]:
         rev.append(0)
         if x:
             rev = _running_sums(rev, x)
-    return sum(rev)
+    rev.append(0)
+    return _running_total(rev, v[0])  # the last step's table is read only as its total
 
 
 def _running_sums(column: list[int], k: int) -> list[int]:
     """Return ``column`` after k running-sum passes.
 
     After k passes entry i is the sum over t <= i of binom(k - 1 + i - t, i - t) * column[t].
+    A caller that reads only the total takes :func:`_running_total` instead.
     With c = len(column) the passes cost k * c additions in C and k interpreted steps, one
     ``accumulate`` call each.  That weighted sum costs c^2 / 2 products in C, each as long as its
     largest weight binom(k + c - 2, c - 1), counted here in 30-bit digits, and about 2c
@@ -238,6 +250,31 @@ def _running_sums(column: list[int], k: int) -> list[int]:
     return column
 
 
+def _running_total(column: list[int], k: int) -> int:
+    """Return ``sum(_running_sums(column, k))``, the total of ``column`` after k running-sum passes.
+
+    Summing entry i of :func:`_running_sums` over i weighs column[t] by
+    sum over d <= c - 1 - t of binom(k - 1 + d, d) = binom(k + c - 1 - t, c - 1 - t), so the
+    total is one sum of c products, each weight stepped from the last by one exact small
+    division.  That costs about c interpreted steps and c products as long as the largest
+    weight binom(k + c - 1, c - 1), counted in 30-bit digits; the k passes cost k steps and
+    k * c additions.  An interpreted step costs about ``_STEP`` additions, so the weighted
+    sum is taken when c * (``_STEP`` + digits) < k * (``_STEP`` + c), and the passes
+    otherwise: tiny runs and short runs over wide columns.  ``comb`` is reached only once the
+    test holds with one digit, so never for an empty column, whose total is 0 either way.
+    """
+    c = len(column)
+    budget = k * (_STEP + c)
+    if 0 < c * (_STEP + 1) < budget and c * (_STEP + 1 + comb(k + c - 1, c - 1).bit_length() // 30) < budget:
+        weights = [1]  # weights[d] = binom(k + d, d), the weight of column[c - 1 - d]
+        for d in range(1, c):
+            weights.append(weights[-1] * (k + d) // d)
+        return sum(map(mul, weights, reversed(column)))
+    for _ in range(k):
+        column = list(accumulate(column))
+    return sum(column)
+
+
 def dp_oracle(p: Heights) -> int:
     """Count nondecreasing q with q_i <= p_i by a direct column sweep.
 
@@ -253,10 +290,13 @@ def dp_oracle(p: Heights) -> int:
 
     A bound equal to the last leaves the column's length alone, so a run of
     k such bounds only owes k running sums, which :func:`_running_sums` pays
-    when the bound changes and at the end.  So the sweep never costs more
-    than one pass per column, O(n * max p) additions, and a long run costs
-    far less: (20,) * 100000 takes 231 products in place of 2.1 million
-    additions.  This is the reference implementation the other engines are
+    when the bound changes.  The last column is read only as its total, so
+    a run that ends the path is paid by :func:`_running_total`, in O(c)
+    steps over its c = p_n + 1 entries.  So the sweep never costs more than
+    one pass per column, O(n * max p) additions, and a long run costs far
+    less: (20,) * 100000 takes 21 products in place of 2.1 million
+    additions, and a rectangle (n,) * n takes n + 1, so O(n) steps in place
+    of O(n^2).  This is the reference implementation the other engines are
     validated against.
     """
     bounds = iter(p)
@@ -276,7 +316,7 @@ def dp_oracle(p: Heights) -> int:
             ending += ending[-1:] * gap  # an emptied column (a negative bound) stays empty
         elif gap < 0:
             del ending[gap:]
-    return sum(_running_sums(ending, owed) if owed else ending)
+    return _running_total(ending, owed) if owed else sum(ending)  # no call for tiny counts with no run
 
 
 def enumerate_restricted(p: Heights) -> Iterator[Heights]:

@@ -14,10 +14,12 @@ runs Horner's rule on it: one product per node, not n + 1 per term.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import cached_property
 from itertools import chain, compress, count, product
 from math import lcm, prod
 from operator import itemgetter, lt, mul, ne
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .counting import CapacityError, enumerate_polytope
@@ -98,26 +100,35 @@ class RFPolynomial(NamedTuple("_RFFields", [("terms", "tuple[RFTerm, ...]"), ("n
 
 
 class MonomialPolynomial(
-    NamedTuple("_MonomialFields", [("coeffs", "dict[tuple[int, ...], Fraction]"), ("nvars", int)])
+    NamedTuple("_MonomialFields", [("coeffs", "Mapping[tuple[int, ...], Fraction]"), ("nvars", int)])
 ):
     """Map from natural-order exponent tuples to nonzero rational coefficients.
 
-    Every tuple has ``nvars`` nonnegative entries.  ``coeffs`` is a plain dict,
-    checked once here: it must not be changed after construction.  Unlike
-    ``RFPolynomial``, this class caches no evaluation form: a cache could not
-    see a change to the dict, and a monomial polynomial is seldom evaluated
-    often enough for the form to matter.
+    Every tuple has ``nvars`` nonnegative entries.  ``coeffs`` is built from any
+    mapping and held as a read-only view (``types.MappingProxyType``) of a
+    private copy, checked once here, so writing to it raises ``TypeError`` and
+    the cached evaluation form cannot go stale.  It compares equal to a dict of
+    the same items.
     """
 
-    __slots__ = ()
+    # no __slots__ = (): the instance dict holds the cached _form, as for RFPolynomial
 
-    def __new__(cls, coeffs: dict[tuple[int, ...], Fraction], nvars: int):
+    def __new__(cls, coeffs: Mapping[tuple[int, ...], Fraction], nvars: int):
+        coeffs = MappingProxyType(dict(coeffs))
         _check_terms(coeffs, coeffs.values(), nvars)
         return super().__new__(cls, coeffs, nvars)
 
     @classmethod
     def _make(cls, iterable):  # _replace builds through here; keep the checks
         return cls(*iterable)
+
+    def __reduce__(self):  # a mapping proxy cannot be pickled: rebuild from a copy, without the form
+        return type(self), (dict(self.coeffs), self.nvars)
+
+    @cached_property
+    def _form(self):  # built on the first evaluate, over the keys in lexicographic order
+        exps = sorted(self.coeffs)
+        return _integer_form(exps, list(map(self.coeffs.__getitem__, exps)))
 
 
 def _integer_form(
@@ -224,9 +235,9 @@ def evaluate(poly: RFPolynomial | MonomialPolynomial, v: Diffs) -> Fraction:
     of the reversed ``v`` for the rising-factorial basis, powers of ``v`` for
     the monomial one), and each parent takes the sum of its children; one
     division ends it.  The tree, the lcm, the scaled numerators and each
-    level's exponent set are built once per ``RFPolynomial``, on its first
-    evaluation or expansion, and on every call for a ``MonomialPolynomial``,
-    whose keys are sorted first.
+    level's exponent set are built once per polynomial and cached in its
+    ``_form``: for an ``RFPolynomial`` on its first evaluation or expansion,
+    for a ``MonomialPolynomial`` on its first evaluation, over its sorted keys.
     These polynomials take integer values at integer points; a non-integer
     value raises ``ArithmeticError``.  Both bases refuse a negative exponent,
     or a tuple of the wrong length, when built.
@@ -236,11 +247,10 @@ def evaluate(poly: RFPolynomial | MonomialPolynomial, v: Diffs) -> Fraction:
     if len(v) != poly.nvars:
         raise ValueError(f"expected {poly.nvars} values, got {len(v)}")
     if isinstance(poly, RFPolynomial):
-        form, bases, power = poly._form, v[::-1], rising_factorial
+        bases, power = v[::-1], rising_factorial
     else:
-        exps = sorted(poly.coeffs)
-        form, bases, power = _integer_form(exps, list(map(poly.coeffs.__getitem__, exps))), v, pow
-    levels, common, values, present = form
+        bases, power = v, pow
+    levels, common, values, present = poly._form
     # Horner's rule on the prefix tree: each node multiplies in its factor, each parent sums its children
     for (col, exponents, slices), distinct in zip(levels, present):
         table = {e: power(bases[col], e) for e in distinct}
@@ -259,10 +269,29 @@ def term_items(poly: RFPolynomial | MonomialPolynomial) -> list[tuple[tuple[int,
     return sorted(poly.coeffs.items())
 
 
+class _Text(dict):
+    """A table from a value to its ``str``, each text made on the first lookup."""
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        text = self[key] = str(key)
+        return text
+
+
 def serialize(poly: RFPolynomial | MonomialPolynomial) -> str:
-    """Stable text form: one term per line, ``num/den  e1,e2,...,en``."""
-    lines = []
+    """Stable text form: one term per line, ``num/den  e1,e2,...,en``.
+
+    Each distinct exponent and each distinct coefficient object is turned into
+    text once per call: exponents through a ``_Text`` table, so a tuple's text
+    is one ``map`` in C, and coefficients keyed by ``id``, which stays unique
+    while ``poly`` holds every coefficient (``Fraction.__hash__`` runs in Python
+    and costs more than the text it would save).
+    """
+    exponent_text, coeff_text, lines = _Text(), {}, []
     for exps, coeff in term_items(poly):
-        tail = ",".join(str(e) for e in exps)
-        lines.append(f"{coeff.numerator}/{coeff.denominator}  {tail}".rstrip())
+        head = coeff_text.get(id(coeff))
+        if head is None:
+            head = coeff_text[id(coeff)] = f"{coeff.numerator}/{coeff.denominator}  "
+        lines.append((head + ",".join(map(exponent_text.__getitem__, exps))).rstrip())
     return "\n".join(lines)

@@ -352,16 +352,17 @@ def test_theorem_table_matches_walk_on_random_paths():
         assert count_theorem(p) == theorem_walk(p), p
 
 
-def test_theorem_matches_table_on_long_zero_runs_and_tall_heights(weighted_sums):
-    # up to 40 steps: runs of zeros between runs of heights up to 10^20, so the sweep
-    # takes both branches of _running_sums and the table, which never calls it, checks them
+def test_theorem_matches_table_on_long_zero_runs_and_tall_heights(weighted_sums, total_products):
+    # up to 40 steps: runs of zeros between runs of heights up to 10^20, so the sweep takes
+    # both branches of _running_sums and of _running_total, and the table, which calls
+    # neither, checks them
     rng = random.Random(16)
     with mock.patch.object(counting, "THEOREM_CAP", 40):
         for _ in range(40):
             heights = [rng.choice((0, rng.randint(1, 9), rng.randint(0, 10**20))) for _ in range(8)]
             p = tuple(sorted([h for h in heights for _ in range(rng.randint(1, 12))][:40]))
             assert count_theorem(p) == theorem_table(p), p
-    assert weighted_sums
+    assert weighted_sums and total_products
 
 
 @given(tall_runs_st)
@@ -429,11 +430,35 @@ def test_running_sums_equal_k_accumulate_passes():
 
 
 @pytest.fixture
-def weighted_sums(monkeypatch):
-    """Count the products of _running_sums' weighted branch, the only user of ``counting.mul``."""
-    products = []
-    monkeypatch.setattr(counting, "mul", lambda a, b: products.append(1) or a * b)
-    return products
+def products(monkeypatch):
+    """Count the weighted branches' products, filed under the helper that makes them.
+
+    ``_running_sums`` and ``_running_total`` are the only users of ``counting.mul``; ``map``
+    calls it from C, so the nearest helper frame below the product's is the one that made it.
+    """
+    made = {"_running_sums": [], "_running_total": []}
+
+    def counted(a, b):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name not in made:  # past a comprehension's own frame
+            frame = frame.f_back
+        made[frame.f_code.co_name].append(1)
+        return a * b
+
+    monkeypatch.setattr(counting, "mul", counted)
+    return made
+
+
+@pytest.fixture
+def weighted_sums(products):
+    """The products of _running_sums' weighted branch: runs paid before the bound changes."""
+    return products["_running_sums"]
+
+
+@pytest.fixture
+def total_products(products):
+    """The products of _running_total's weighted sum: the last run, read only as a total."""
+    return products["_running_total"]
 
 
 def test_dp_oracle_matches_dp_columns_on_every_small_bound_tuple():
@@ -473,17 +498,25 @@ def test_running_sums_take_the_passes_below_k_2c(monkeypatch):
             assert counting._running_sums(column, k) == want, (c, k)
 
 
-def test_tiny_counts_pay_their_runs_by_passes(weighted_sums):
+def test_tiny_counts_pay_their_runs_by_passes(weighted_sums, total_products):
     # theorem steps a table of i + 2 entries by x <= 3 sums, so always by passes; for a run of
-    # k + 1 equal bounds h, dp owes k sums over h + 1 entries and weighs them only from k = 2(h + 1)
+    # k + 1 equal bounds h, dp owes k sums over h + 1 entries and weighs them only from k = 2(h + 1).
+    # A last run is read only as a total, so p + (4,) makes every run of p an interior one; the
+    # total of c entries, when weighed, takes one product per entry
     for n in range(8):
         for p in nondecreasing_tuples(n, 3):
             weighted_sums.clear()
+            total_products.clear()
             count_theorem(p)
             assert not weighted_sums, p
+            assert len(total_products) in (0, n + 1), p
             long_run = any(len(list(run)) - 1 >= 2 * (h + 1) for h, run in groupby(p))
-            dp_oracle(p)
+            weighted_sums.clear()
+            dp_oracle(p + (4,))
             assert bool(weighted_sums) == long_run, p
+            total_products.clear()
+            dp_oracle(p)
+            assert len(total_products) in (0, p[-1] + 1 if p else 0), p
 
 
 def test_recurrence_matches_recurrence_columns_exhaustively():
@@ -513,7 +546,7 @@ def test_reference_oracles_do_not_call_running_sums():
     # dp, recurrence and theorem share _running_sums, so agreement between them cannot show a
     # fault in it; each is checked against one of these, which must not reach it
     for oracle in (theorem_walk, theorem_table, dp_columns, recurrence_columns):
-        assert "_running_sums" not in set(code_names(oracle.__code__)), oracle.__name__
+        assert not {"_running_sums", "_running_total"} & set(code_names(oracle.__code__)), oracle.__name__
 
 
 def test_determinant_steps_its_binomials():
@@ -535,16 +568,20 @@ def test_dp_oracle_weighted_sum_on_long_runs_over_short_columns(weighted_sums):
         assert weighted_sums, p[:3]
 
 
-def test_dp_oracle_passes_on_wide_columns_of_big_integers(weighted_sums):
+def test_dp_oracle_passes_on_wide_columns_of_big_integers(weighted_sums, total_products):
     # the first two owe k < 2c sums; the last owes k >= 2c, but the weights' digits make the
-    # passes cheaper
+    # passes cheaper.  Each path's last run is read only as a total, one product per entry; a
+    # last bound of 0 after it makes that run an interior one, paid before the bound changes
     paths = [
         tuple(range(1, 301)) + (300,) * 199,
         tuple(range(1, 121)) + (150,) * 100 + (90,) * 60,
         (120,) * 400,
     ]
     for p in paths:
-        assert dp_oracle(p) == dp_columns(p), p[:3]
+        for q in (p, p + (0,)):
+            total_products.clear()
+            assert dp_oracle(q) == dp_columns(q), q[:3]
+            assert len(total_products) <= q[-1] + 1, q[:3]
     assert not weighted_sums
 
 
@@ -552,6 +589,48 @@ def test_dp_oracle_run_of_negative_bounds_over_an_empty_column():
     # the run owes its passes over a column of c = 0 entries, which must not reach comb
     for p in ((3,) + (-1,) * 50, (2, 2, -2, -2, -2, 5, 5), (-1,) * 40, (0, -3) + (-3,) * 9 + (4,) * 20):
         assert dp_oracle(p) == dp_columns(p) == 0, p
+
+
+@given(st.integers(0, 60), st.data())
+def test_running_total_equals_the_sum_after_k_accumulate_passes(c, data):
+    # k up to 4c reaches the rule's boundary and k up to 3000 takes the weighted sum; c = 0,
+    # the column a negative last bound leaves, must total 0 without reaching the weights
+    column = data.draw(st.lists(st.integers(0, 10**30), min_size=c, max_size=c))
+    k = data.draw(st.integers(0, 4 * c) | st.integers(0, 3000))
+    want = column
+    for _ in range(k):
+        want = list(accumulate(want))
+    given_column = list(column)
+    assert counting._running_total(column, k) == sum(want)
+    assert column == given_column
+
+
+def test_running_total_of_an_empty_column_reaches_no_weight(monkeypatch):
+    def refuse(*args):
+        raise AssertionError(f"comb{args} reached for an empty column")
+
+    monkeypatch.setattr(counting, "comb", refuse)
+    for k in (0, 1, 2, 50, 3000):
+        assert counting._running_total([], k) == 0
+
+
+def test_dp_oracle_matches_dp_columns_on_paths_that_end_in_long_runs():
+    for p in ((5,) * 40, (3, 9) + (9,) * 300, (2, -1) + (-1,) * 20, (7, 2) + (2,) * 90, (0,) * 500):
+        assert dp_oracle(p) == dp_columns(p), p[:3]
+
+
+def test_dp_oracle_pays_a_rectangle_in_one_weighted_total(total_products, monkeypatch):
+    # (n,) * n is the first column of n + 1 ones and a run of n - 1 equal bounds, read only as
+    # its total binom(2n, n): c = n + 1 products and no running-sum pass
+    passes = []
+    monkeypatch.setattr(counting, "accumulate", lambda *args: passes.append(1) or accumulate(*args))
+    assert dp_oracle((2000,) * 2000) == binom(4000, 2000)
+    assert 0 < len(total_products) <= 2001
+    assert not passes
+    # a short run over a wide column stays on its two passes, which cost less than the weights
+    total_products.clear()
+    assert dp_oracle((10**5,) * 3) == binom(10**5 + 3, 3)
+    assert len(passes) == 2 and not total_products
 
 
 def test_dp_oracle_closed_forms_on_long_rectangles():

@@ -28,6 +28,7 @@ from pathcount.symbolic import (
     expand,
     serialize,
     symbolic_lp,
+    term_items,
 )
 
 F = Fraction
@@ -365,6 +366,46 @@ def test_copies_of_an_evaluated_polynomial_behave_as_new_ones():
             assert evaluate(copy, point) == fraction_sum_evaluate(copy, point)
         assert evaluate(scaled, w) == 2 * evaluate(rf, w)
         assert evaluate(widened, (*w, 9)) == evaluate(rf, w)
+
+
+def test_monomial_polynomial_builds_its_form_once_over_read_only_coefficients(monkeypatch):
+    given = dict(expand(symbolic_lp(5)).coeffs)
+    mono = MonomialPolynomial(given, 5)
+    builds = []
+    real = pathcount.symbolic._integer_form
+    monkeypatch.setattr(pathcount.symbolic, "_integer_form", lambda *args: builds.append(1) or real(*args))
+    for v in ((1, 2, 3, 4, 5), (0, -1, 2, 0, 7), (3, 3, 3, 3, 3)):
+        assert evaluate(mono, v) == fraction_sum_evaluate(mono, v)
+    assert len(builds) == 1
+    # the coefficients are a read-only view of a private copy: no write reaches the cached form
+    with pytest.raises(TypeError):
+        mono.coeffs[(0,) * 5] = F(7)
+    with pytest.raises(TypeError):
+        del mono.coeffs[(0,) * 5]
+    given[(0,) * 5] = F(7)
+    assert mono.coeffs[(0,) * 5] == 1 and evaluate(mono, (0,) * 5) == 1
+
+
+def test_monomial_polynomial_compares_replaces_and_pickles_as_before():
+    mono = expand(symbolic_lp(3))
+    v = (4, 0, 2)
+    evaluate(mono, v)
+    assert mono.coeffs == dict(mono.coeffs) and mono == MonomialPolynomial(dict(mono.coeffs), 3)
+    # a replaced copy gets its own form, not the evaluated one's
+    shifted = mono._replace(coeffs={**mono.coeffs, (0, 0, 0): mono.coeffs[(0, 0, 0)] + 5})
+    assert type(shifted.coeffs) is type(mono.coeffs) and evaluate(shifted, v) == evaluate(mono, v) + 5
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(mono, protocol))
+        assert type(copy) is MonomialPolynomial and copy == mono and "_form" not in vars(copy)
+        assert evaluate(copy, v) == evaluate(mono, v)
+
+
+def test_serialize_matches_the_term_by_term_text():
+    # the per-call text tables must not change a byte: shared Fractions, ints, repeated exponents
+    rf = RFPolynomial((RFTerm(2, (1, 10)), RFTerm(F(-3, 4), (10, 1)), RFTerm(F(-3, 4), (10, 10))), 2)
+    for poly in (symbolic_lp(6), expand(symbolic_lp(5)), rf):
+        lines = (f"{c.numerator}/{c.denominator}  {','.join(str(e) for e in exps)}" for exps, c in term_items(poly))
+        assert serialize(poly) == "\n".join(lines)
 
 
 def test_rfpolynomial_stores_its_terms_as_a_tuple():
