@@ -23,13 +23,9 @@ Five engines compute it:
   oracle the others are checked against.
 
 ``recurrence``, ``theorem`` and ``dp`` pay k running sums over c entries through one
-helper, ``_running_sums``: as k passes or as one sum weighted by binom(k - 1 + d, d) when
-that wins on both counts, the interpreter's steps (about 2c against k, so 2c <= k) and the
-work in C (c times the 30-bit digits of binom(k + c - 2, c - 1) under 2k).  A short column
-is paid by passes, as the interpreted steps of the weighted sum would cost more there.
-``dp`` and ``theorem`` read their last column only as its total, so they pay its sums through
-``_running_total``: one sum of c products weighted by binom(k + d, d), about c interpreted
-steps, in place of k passes whenever those steps and products cost less than k * c additions.
+helper, ``_running_sums``, as k passes or as one weighted sum, by the rule in its docstring.
+``dp`` and ``theorem`` read their last column only as its total, which ``_running_total``
+pays as one sum of c products where its own rule finds that cheaper than the passes.
 A path that ends in a run of equal heights pays that run in O(c) steps; (n,) * n costs O(n).
 The engines are reached through :func:`count`, which validates the path once and runs its
 kernel from ``_KERNELS``; the engine functions assume a validated path, so ``pathcount``
@@ -207,7 +203,7 @@ def count_theorem(p: Heights) -> int:
     next[m] = sum over u >= m of binom(x - 1 + u - m, u - m) * w'[u], x suffix running
     sums of w'.  Kept reversed, the table takes each new slack-0 entry as an append and
     these sums as the prefix sums of :func:`_running_sums`.  The last step, x = p_1, is read
-    only as the table's total, which :func:`_running_total` pays in at most n + 1 products.
+    only as the table's total: its sum when p_1 = 0 and otherwise :func:`_running_total`'s.
     ``p`` is a height tuple :func:`count` has validated; n > ``THEOREM_CAP`` is refused.
     """
     n = len(p)
@@ -222,7 +218,15 @@ def count_theorem(p: Heights) -> int:
         if x:
             rev = _running_sums(rev, x)
     rev.append(0)
-    return _running_total(rev, v[0])  # the last step's table is read only as its total
+    return _running_total(rev, v[0]) if v[0] else sum(rev)  # the last step's table is read only as its total
+
+
+def _weights(k: int, c: int) -> list[int]:
+    """Return binom(k + d, d) for d < c, c >= 1, each stepped from the last by one exact small division."""
+    weights = [1]
+    for d in range(1, c):
+        weights.append(weights[-1] * (k + d) // d)
+    return weights
 
 
 def _running_sums(column: list[int], k: int) -> list[int]:
@@ -240,10 +244,7 @@ def _running_sums(column: list[int], k: int) -> list[int]:
     """
     c = len(column)
     if 0 < 2 * c <= k and c * (comb(k + c - 2, c - 1).bit_length() // 30 + 1) < 2 * k:
-        weights = [1]  # weights[d] = binom(k - 1 + d, d), stepped exactly from d = 0
-        for d in range(1, c):
-            weights.append(weights[-1] * (k - 1 + d) // d)
-        weights.reverse()  # weights[c - 1 - d] = binom(k - 1 + d, d): entry i reads weights[c - 1 - i:]
+        weights = _weights(k - 1, c)[::-1]  # weights[c - 1 - d] = binom(k - 1 + d, d)
         return [sum(map(mul, weights[c - 1 - i :], column)) for i in range(c)]
     for _ in range(k):
         column = list(accumulate(column))
@@ -255,24 +256,22 @@ def _running_total(column: list[int], k: int) -> int:
 
     Summing entry i of :func:`_running_sums` over i weighs column[t] by
     sum over d <= c - 1 - t of binom(k - 1 + d, d) = binom(k + c - 1 - t, c - 1 - t), so the
-    total is one sum of c products, each weight stepped from the last by one exact small
-    division.  That costs about c interpreted steps and c products as long as the largest
-    weight binom(k + c - 1, c - 1), counted in 30-bit digits; the k passes cost k steps and
-    k * c additions.  An interpreted step costs about ``_STEP`` additions, so the weighted
-    sum is taken when c * (``_STEP`` + digits) < k * (``_STEP`` + c), and the passes
-    otherwise: tiny runs and short runs over wide columns.  ``comb`` is reached only once the
-    test holds with one digit, so never for an empty column, whose total is 0 either way.
+    total is one sum of c products weighted by :func:`_weights`.  That costs about c
+    interpreted steps and c products as long as the largest weight binom(k + c - 1, c - 1),
+    counted in 30-bit digits; the k passes cost k steps and k * c additions.  An interpreted
+    step costs about ``_STEP`` additions, so the weighted sum is taken when
+    c * (``_STEP`` + digits) < k * (``_STEP`` + c).  Otherwise (tiny runs, and short runs over
+    wide columns) the passes are handed to :func:`_running_sums`, whose rule then takes them
+    too: it weighs only when 2c <= k and c * (its digits) < 2k, and there the weights here have
+    at most one digit more, so c * (``_STEP`` + digits) < 6c + 2k <= 5k is under the budget.
+    ``comb`` is reached only once the test holds with one digit, so never for an empty column,
+    whose total is 0 either way.
     """
     c = len(column)
     budget = k * (_STEP + c)
     if 0 < c * (_STEP + 1) < budget and c * (_STEP + 1 + comb(k + c - 1, c - 1).bit_length() // 30) < budget:
-        weights = [1]  # weights[d] = binom(k + d, d), the weight of column[c - 1 - d]
-        for d in range(1, c):
-            weights.append(weights[-1] * (k + d) // d)
-        return sum(map(mul, weights, reversed(column)))
-    for _ in range(k):
-        column = list(accumulate(column))
-    return sum(column)
+        return sum(map(mul, _weights(k, c), reversed(column)))  # binom(k + d, d) weighs column[c - 1 - d]
+    return sum(_running_sums(column, k))
 
 
 def dp_oracle(p: Heights) -> int:
@@ -291,13 +290,12 @@ def dp_oracle(p: Heights) -> int:
     A bound equal to the last leaves the column's length alone, so a run of
     k such bounds only owes k running sums, which :func:`_running_sums` pays
     when the bound changes.  The last column is read only as its total, so
-    a run that ends the path is paid by :func:`_running_total`, in O(c)
-    steps over its c = p_n + 1 entries.  So the sweep never costs more than
-    one pass per column, O(n * max p) additions, and a long run costs far
-    less: (20,) * 100000 takes 21 products in place of 2.1 million
-    additions, and a rectangle (n,) * n takes n + 1, so O(n) steps in place
-    of O(n^2).  This is the reference implementation the other engines are
-    validated against.
+    a run that ends the path is paid by :func:`_running_total`.  So the sweep
+    never costs more than one pass per column, O(n * max p) additions, and a
+    long run costs far less: (20,) * 100000 takes 21 products in place of
+    2.1 million additions, and a rectangle (n,) * n takes n + 1, so O(n)
+    steps in place of O(n^2).  This is the reference implementation the
+    other engines are validated against.
     """
     bounds = iter(p)
     last = next(bounds, 0)

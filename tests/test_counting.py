@@ -546,7 +546,7 @@ def test_reference_oracles_do_not_call_running_sums():
     # dp, recurrence and theorem share _running_sums, so agreement between them cannot show a
     # fault in it; each is checked against one of these, which must not reach it
     for oracle in (theorem_walk, theorem_table, dp_columns, recurrence_columns):
-        assert not {"_running_sums", "_running_total"} & set(code_names(oracle.__code__)), oracle.__name__
+        assert not {"_running_sums", "_running_total", "_weights"} & set(code_names(oracle.__code__)), oracle.__name__
 
 
 def test_determinant_steps_its_binomials():
@@ -612,6 +612,47 @@ def test_running_total_of_an_empty_column_reaches_no_weight(monkeypatch):
     monkeypatch.setattr(counting, "comb", refuse)
     for k in (0, 1, 2, 50, 3000):
         assert counting._running_total([], k) == 0
+
+
+def test_running_total_hands_its_passes_to_running_sums_unweighed(weighted_sums, monkeypatch):
+    # where the total keeps the passes, the _running_sums call it hands them to must take the
+    # passes too and make no product.  A total that weighs is stopped at its weights, so only the
+    # declined calls run: k = 0 for every c, and small k on top
+    class Weighed(Exception):
+        pass
+
+    weights = counting._weights
+
+    def stop_the_total(k, c):
+        if sys._getframe(1).f_code.co_name == "_running_total":
+            raise Weighed
+        return weights(k, c)
+
+    monkeypatch.setattr(counting, "_weights", stop_the_total)
+    declined = 0
+    for c in range(1, 121):
+        for k in (*range(3001), 10**4, 10**10, 10**100):
+            try:
+                total = counting._running_total([1] * c, k)
+            except Weighed:
+                continue
+            declined += 1
+            assert total == comb(k + c, c - 1), (c, k)  # c ones after k passes are binom(k + i, i)
+            assert not weighted_sums, (c, k)
+    assert declined > 120
+
+
+def test_theorem_with_p1_zero_never_reaches_running_total(monkeypatch):
+    # a last step of x = p_1 = 0 leaves the table as it is, so its total is its sum, as dp
+    # reads a last column that owes no run
+    def refuse(column, k):
+        raise AssertionError(f"_running_total reached with k = {k}")
+
+    monkeypatch.setattr(counting, "_running_total", refuse)
+    for n in range(1, 8):
+        for p in nondecreasing_tuples(n, 3):
+            if not p[0]:
+                assert count_theorem(p) == theorem_walk(p), p
 
 
 def test_dp_oracle_matches_dp_columns_on_paths_that_end_in_long_runs():
