@@ -26,7 +26,7 @@ ENUMERATE_CAP = 100_000
 
 
 class UsageError(Exception):
-    """Bad command input: unparsable path spec, unknown suite, bad endpoint."""
+    """Input the parser cannot refuse: an unparsable path spec, or an endpoint that does not fit the path."""
 
 
 def _parse_path(spec: str) -> Heights:
@@ -124,14 +124,7 @@ def cmd_symbolic(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.suite == "all":
-        names = CHECKS
-    elif args.suite in CHECKS:
-        names = (args.suite,)
-    else:
-        raise UsageError(
-            f"unknown suite {args.suite!r}; expected one of: all, {', '.join(CHECKS)}"
-        )
+    names = CHECKS if args.suite == "all" else (args.suite,)
     all_passed = True
     for name in names:
         bad, summary = CHECKS[name](args.seed)
@@ -146,8 +139,6 @@ def cmd_probability(args) -> int:
     from fractions import Fraction
     p = _parse_path(args.path)
     n, m = args.n, args.m
-    if n < 0 or m < 0:
-        raise UsageError(f"endpoint ({n}, {m}) has a negative coordinate")
     if len(p) != n or (p and p[-1] > m):
         raise UsageError(
             f"path {format_heights(p)} is inconsistent with endpoint ({n}, {m})"
@@ -167,40 +158,35 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact counting of northeast lattice paths below a bounding path.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=("plain", "json"), default="plain")
 
-    def add_common(sp):
-        sp.add_argument("--format", choices=("plain", "json"), default="plain")
-
-    sp = sub.add_parser("count", help="count paths below a path spec (w:/h:/d:)")
+    sp = sub.add_parser("count", parents=[common], help="count paths below a path spec (w:/h:/d:)")
     sp.add_argument("path")
     sp.add_argument("--engine", choices=ENGINES + ("all",), default="all")
-    add_common(sp)
     sp.set_defaults(func=cmd_count)
 
-    sp = sub.add_parser("enumerate", help="list every path below a path spec")
+    sp = sub.add_parser("enumerate", parents=[common], help="list every path below a path spec")
     sp.add_argument("path")
-    sp.add_argument("--count-only", action="store_true", dest="count_only")
-    add_common(sp)
+    sp.add_argument("--count-only", action="store_true")
     sp.set_defaults(func=cmd_enumerate)
 
-    sp = sub.add_parser("symbolic", help="rising-factorial count polynomial in n variables")
+    sp = sub.add_parser("symbolic", parents=[common], help="rising-factorial count polynomial in n variables")
     sp.add_argument("n", type=nonnegative_int)
     sp.add_argument("--expand", action="store_true")
-    sp.add_argument("--count-terms", action="store_true", dest="count_terms")
-    add_common(sp)
+    sp.add_argument("--count-terms", action="store_true")
     sp.set_defaults(func=cmd_symbolic)
 
-    sp = sub.add_parser("verify", help="run the consistency suites")
-    sp.add_argument("suite", nargs="?", default="all")
-    add_common(sp)
+    sp = sub.add_parser("verify", parents=[common], help="run the consistency suites")
+    sp.add_argument("suite", nargs="?", choices=("all", *CHECKS), default="all")
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_verify)
 
-    sp = sub.add_parser("probability", help="chance a uniform path to (n, m) stays below the given path")
+    sp = sub.add_parser("probability", parents=[common],
+                        help="chance a uniform path to (n, m) stays below the given path")
     sp.add_argument("path")
-    sp.add_argument("n", type=int)
-    sp.add_argument("m", type=int)
-    add_common(sp)
+    sp.add_argument("n", type=nonnegative_int)
+    sp.add_argument("m", type=nonnegative_int)
     sp.set_defaults(func=cmd_probability)
 
     return parser

@@ -42,7 +42,7 @@ from operator import mul
 from typing import Iterator
 
 from .exactmath import factorial
-from .paths import Diffs, Heights, Point, delta, validate_diffs, validate_heights
+from .paths import Diffs, Heights, Point, as_integers, delta, validate_diffs, validate_heights
 
 # longest path the theorem engine takes; it refuses longer ones, which `count --engine all` skips
 THEOREM_CAP = 14
@@ -340,9 +340,11 @@ def enumerate_restricted(p: Heights) -> Iterator[Heights]:
         q[i:] = [q[i] + 1] * (n - i)
 
 
-def _check_endpoint(n: int, m: int) -> None:
+def _check_endpoint(n: int, m: int) -> tuple[int, int]:
+    n, m = as_integers((n, m), "endpoint coordinate")
     if n < 0 or m < 0:
         raise ValueError(f"endpoint ({n}, {m}) has a negative coordinate")
+    return n, m
 
 
 def macmahon_total(n: int, m: int) -> int:
@@ -350,7 +352,7 @@ def macmahon_total(n: int, m: int) -> int:
 
     (m+n)! (m+n+1)! / (m! n! (m+1)! (n+1)!), always an integer.
     """
-    _check_endpoint(n, m)
+    n, m = _check_endpoint(n, m)
     num = factorial(m + n) * factorial(m + n + 1)
     den = factorial(m) * factorial(n) * factorial(m + 1) * factorial(n + 1)
     total, rest = divmod(num, den)
@@ -373,7 +375,7 @@ def macmahon_bruteforce(n: int, m: int) -> int:
     At (7, 7) that is 6 434 column steps in place of 3 432 sweeps of 7 columns
     each.  A negative coordinate is refused as by :func:`macmahon_total`.
     """
-    _check_endpoint(n, m)
+    n, m = _check_endpoint(n, m)
     total, stack = 0, [([1], 0)]  # (column, prefix length)
     while stack:
         ending, k = stack.pop()

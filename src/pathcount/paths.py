@@ -47,21 +47,23 @@ def _shown(value) -> str:
     return text if len(text) <= SHOWN_CHARS else text[:SHOWN_CHARS] + "..."
 
 
-def as_integers(values, what: str) -> tuple[int, ...]:
-    """Return ``values`` as a tuple of ints, refusing what ``operator.index`` refuses.
+def as_integer(x, what: str) -> int:
+    """Return ``x`` as an int, refusing what ``operator.index`` refuses.
 
-    A float, string or ``Fraction`` entry raises ``ValueError`` naming it, so
-    that no engine silently counts below a non-integer path.  Every refusal here and in
+    A float, string or ``Fraction`` raises ``ValueError`` naming it, so that no engine
+    silently counts below a non-integer path.  Every refusal here and in
     :func:`validate_heights` and :func:`validate_diffs` shows the value through
     ``_shown``, at most ``SHOWN_CHARS`` characters of it.
     """
-    out = []
-    for x in values:
-        try:
-            out.append(index(x))
-        except TypeError:
-            raise ValueError(f"{what} {_shown(x)} is not an integer") from None
-    return tuple(out)
+    try:
+        return index(x)
+    except TypeError:
+        raise ValueError(f"{what} {_shown(x)} is not an integer") from None
+
+
+def as_integers(values, what: str) -> tuple[int, ...]:
+    """Return ``values`` as a tuple of ints, each checked by :func:`as_integer`."""
+    return tuple(as_integer(x, what) for x in values)
 
 
 def validate_heights(p) -> Heights:
@@ -125,7 +127,7 @@ def word_to_heights(w: Word) -> Heights:
 
 def heights_to_word(p: Heights, m: int) -> Word:
     """Step word for the height tuple ``p`` ending at height ``m``."""
-    p = validate_heights(p)
+    p, m = validate_heights(p), as_integer(m, "terminal height")
     top = p[-1] if p else 0
     if m < top:
         raise ValueError(f"terminal height {m} is below the last height {top}")

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from .counting import CapacityError, enumerate_polytope
 from .exactmath import catalan, factorial, rising_factorial
-from .paths import Diffs, as_integers
+from .paths import Diffs, as_integer, as_integers
 
 # largest n that symbolic_lp expands: C_13 = 742 900 stored terms, about 300 MB
 SYMBOLIC_CAP = 12
@@ -159,12 +159,14 @@ def _integer_form(
     return levels, common, numerators, present
 
 
-def check_nvars(n: int) -> None:
-    """Refuse a variable count ``symbolic_lp`` would not expand."""
+def check_nvars(n: int) -> int:
+    """Return ``n`` as an int, refusing a variable count ``symbolic_lp`` would not expand."""
+    n = as_integer(n, "variable count")
     if n < 0:
         raise ValueError(f"variable count {n} is negative")
     if n > SYMBOLIC_CAP:
         raise CapacityError(f"symbolic expansion capacity exceeded: n = {n} is over the cap {SYMBOLIC_CAP}")
+    return n
 
 
 def symbolic_lp(n: int) -> RFPolynomial:
@@ -175,7 +177,7 @@ def symbolic_lp(n: int) -> RFPolynomial:
     n > ``SYMBOLIC_CAP`` before building any term.
     """
     from fractions import Fraction
-    check_nvars(n)
+    n = check_nvars(n)
     shared: dict[int, Fraction] = {}  # one Fraction per denominator: 27 of them for the 16 796 terms at n = 9
     terms = []
     for x in enumerate_polytope((1,) * n):

@@ -479,9 +479,18 @@ def test_verify_children_suite(capsys):
 
 
 def test_verify_unknown_suite(capsys):
-    code, _, err = run(capsys, "verify", "bogus")
-    assert code == 2
-    assert "bogus" in err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "bogus"])
+    assert exc.value.code == 2
+    assert "bogus" in capsys.readouterr().err
+
+
+def test_verify_help_lists_every_suite(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--help"])
+    assert exc.value.code == 0
+    # the parser's choices are the registry's rows, in its order
+    assert "{" + ",".join(("all", *CHECKS)) + "}" in capsys.readouterr().out
 
 
 def test_verify_det_identity_deterministic_under_seed(capsys):
@@ -690,6 +699,14 @@ def test_probability_inconsistent_endpoint(capsys):
     assert "inconsistent" in err
     code, _, _ = run(capsys, "probability", "h:0,5", "2", "2")
     assert code == 2
+
+
+def test_probability_negative_endpoint_exit_2(capsys):
+    for n, m, refusal in (("-1", "2", "argument n: -1 is negative"), ("1", "-2", "argument m: -2 is negative")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["probability", "h:0", n, m])
+        assert exc.value.code == 2
+        assert refusal in capsys.readouterr().err
 
 
 def test_probability_json(capsys):

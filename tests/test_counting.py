@@ -810,6 +810,47 @@ def test_dp_on_a_long_low_transpose_matches_triangular_on_the_short_tall_path(n,
     assert count(pt, "dp") == count(p, "triangular")
 
 
+def ballot(a, m, n):
+    """LP of the line (a, a + m, ..., a + m(n - 1)), by the generalized ballot formula.
+
+    LP = (a + 1) / (a + 1 + (m + 1)n) * binom(a + 1 + (m + 1)n, n) counts the paths below a line
+    of integer slope (Mohanty 1979, ch. 1).  It is exact at every size and shares no arithmetic
+    with any engine; m = 0 is the rectangle and a = m = 1 the staircase.
+    """
+    top = a + 1 + (m + 1) * n
+    lp, rest = divmod((a + 1) * comb(top, n), top)
+    assert not rest, (a, m, n)
+    return lp
+
+
+def line(a, m, n):
+    return tuple(a + m * i for i in range(n))
+
+
+def test_ballot_matches_dp_oracle_on_small_lines():
+    for a, m, n in product(range(9), range(8), range(9)):  # 648 lines
+        assert ballot(a, m, n) == dp_oracle(line(a, m, n)), (a, m, n)
+
+
+@pytest.mark.parametrize("engines, a, m, n, transposed", [
+    # tall lines: triangular's band and determinant's rows run the whole length
+    (("triangular", "determinant"), 0, 10**13, 160, False),
+    (("triangular",), 3, 10**20, 250, False),
+    # every band and running-sum engine on one long line
+    (("dp", "recurrence", "triangular", "determinant"), 2, 5, 600, False),
+    # n = 800, and long-low transposes whose runs have length m: 1 771 x 60 and 3 800 x 20
+    (("dp", "recurrence", "triangular"), 1, 3, 800, False),
+    (("dp", "recurrence", "triangular"), 1, 30, 60, True),
+    (("dp", "recurrence", "triangular"), 0, 200, 20, True),
+    (("theorem",), 5, 10**30, 14, False),
+], ids=["tall-160", "tall-250", "long-600", "long-800", "transpose-1771x60", "transpose-3800x20", "theorem-14"])
+def test_engines_match_the_ballot_formula_at_size(engines, a, m, n, transposed):
+    p = transpose(line(a, m, n)) if transposed else line(a, m, n)
+    expected = ballot(a, m, n)
+    for engine in engines:
+        assert count(p, engine) == expected, engine
+
+
 def test_cross_engine_under_optimize():
     # a python -O child strips asserts; every engine must still agree
     src = os.path.dirname(os.path.dirname(pathcount.__file__))

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import re
 from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
+from pathcount import macmahon_bruteforce, macmahon_total, symbolic_lp
 from pathcount.paths import (
     delta,
     format_heights,
@@ -161,6 +163,26 @@ def test_validate_refuses_what_operator_index_refuses():
         validate_heights((2, 1))
     with pytest.raises(ValueError, match="difference -1 is negative"):
         validate_diffs((1, -1))
+
+
+def test_integer_arguments_refused_as_path_entries_are():
+    # each of these used to get past its check and raise TypeError deep inside, or, for True,
+    # to be stored as a bool
+    refused = (
+        (lambda: heights_to_word((1,), 2.5), "terminal height 2.5 is not an integer"),
+        (lambda: heights_to_word((1,), "3"), "terminal height '3' is not an integer"),
+        (lambda: macmahon_total(1.5, 2), "endpoint coordinate 1.5 is not an integer"),
+        (lambda: macmahon_bruteforce(2, 1.5), "endpoint coordinate 1.5 is not an integer"),
+        (lambda: symbolic_lp(2.0), "variable count 2.0 is not an integer"),
+        (lambda: symbolic_lp("7" * 5000), "variable count '77777777777777777777'... is not an integer"),
+    )
+    for call, message in refused:
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            call()
+    # what operator.index accepts is used as the int it stands for
+    assert heights_to_word((1,), True) == "NE"
+    assert macmahon_total(True, 2) == macmahon_bruteforce(True, 2) == 6
+    assert type(symbolic_lp(True).nvars) is int
 
 
 def test_parse_path_spec_forms():
