@@ -14,7 +14,7 @@ import sys
 from .counting import ENGINES, CapacityError, count, enumerate_restricted
 from .exactmath import binom, catalan
 from .identities import CHECKS
-from .paths import Heights, format_heights, parse_path_spec
+from .paths import Heights, _shown, format_heights, parse_path_spec
 from .symbolic import check_nvars, expand, serialize, symbolic_lp, term_items
 
 EXIT_OK = 0
@@ -37,9 +37,15 @@ def _parse_path(spec: str) -> Heights:
 
 
 def nonnegative_int(text: str) -> int:
-    value = int(text)
+    """Read a size or endpoint; a refusal shows the text through ``_shown`` and says why."""
+    try:
+        value = int(text)
+    except ValueError:  # int() also refuses more digits than the interpreter's limit
+        digits = text.strip().lstrip("+-").replace("_", "")
+        why = "has too many digits" if digits.isdecimal() else "is not an integer"
+        raise argparse.ArgumentTypeError(f"{_shown(text)} {why}") from None
     if value < 0:
-        raise argparse.ArgumentTypeError(f"{value} is negative")
+        raise argparse.ArgumentTypeError(f"{_shown(value)} is negative")
     return value
 
 
@@ -92,7 +98,7 @@ def cmd_enumerate(args) -> int:
         return EXIT_OK
     if total > ENUMERATE_CAP:
         raise CapacityError(
-            f"{total} paths is over the output cap {ENUMERATE_CAP}; use --count-only"
+            f"{_shown(total)} paths is over the output cap {ENUMERATE_CAP}; use --count-only"
         )
     for q in enumerate_restricted(p):
         if args.format == "json":

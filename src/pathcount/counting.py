@@ -135,13 +135,16 @@ def count_determinant(p: Heights) -> int:
     and binom(p_i + 1, j - i + 1) in column j, so expanding along it gives
     M_i(j) = binom(p_i + 1, j - i + 1) * M_(i-1)(i - 1) - M_(i-1)(j).  The pivot M_(i-1)(i - 1)
     is the leading i x i minor, LP(p_1..p_i), and the determinant is M_(n-1)(n - 1).  One live
-    row of M_i(j) for j >= i, rebuilt in place, is the whole state: no matrix.  Along row i,
-    binom(m, k) with m = p_i + 1 steps from binom(m, k - 1) by one exact small division,
-    (m + 1 - k) / k, which reaches 0 at k = m + 1 and stays 0; that is the only division.
-    The minors only multiply and subtract, so they divide by nothing and need no pivot search;
-    the expansion holds for any pivot value.  The binomial is stepped alone and then multiplied
-    by the pivot: stepping the product in place is ``triangular``'s term arithmetic, and the two
-    engines would then share their intermediates, so their agreement would check less.
+    row of M_i(j) for j >= i, rebuilt in place, is the whole state: no matrix.  Along row i the
+    product b = binom(m, k) * pivot, m = p_i + 1, steps from its value at k - 1 by one small
+    multiply and one exact division, (m + 1 - k) / k, so no step multiplies two big integers.
+    k divides binom(m, k - 1) * (m + 1 - k), so the division is exact for any integer pivot,
+    zero or negative included; b reaches 0 at k = m + 1 and stays 0.  The minors need no pivot
+    search, and the expansion holds for any pivot value.  The products are ``triangular``'s
+    terms up to sign, reached along another index order by another recurrence, so agreement
+    between the two engines checks less than it did: the checks that share no arithmetic with
+    either are ``det_int``'s Bareiss elimination over the whole matrix and the ballot closed
+    form in ``tests/test_counting.py``, and ``verify det-identity``.
 
     The row keeps a zero tail, ``row[live:]``.  Past both m and ``live`` the binomial and the
     entry read are 0, so the step writes the 0 already there and is skipped; the tail then
@@ -153,14 +156,14 @@ def count_determinant(p: Heights) -> int:
     row = [1] + [0] * len(p)  # M_(-1): the empty minor 1, then M_(-1)(j) = 0 for every column j
     width, live = len(row), 1  # len(row); row[live:] is all zeros
     for h in p:
-        pivot, m, b = row[0], h + 1, 1
+        m, b = h + 1, row[0]  # b = binom(m, 0) * pivot
         if live < m:  # live = max(m, live): no step past it changes an entry
             live = m
         # conditionals, not min() and max(): their calls made a 1-7 step path 75% slower;
         # row[k] is read before row[k - 1] is set: the row moves down one
         for k in range(1, live + 1 if live < width else width):
-            b = b * (m + 1 - k) // k  # binom(m, k) from binom(m, k - 1); 0 from k = m + 1 on
-            row[k - 1] = b * pivot - row[k]
+            b = b * (m + 1 - k) // k  # binom(m, k) * pivot from binom(m, k - 1) * pivot; 0 from k = m + 1 on
+            row[k - 1] = b - row[k]
         row.pop()  # the last entry, already moved down or in the zero tail
         width -= 1
         if live > m:  # the tail moved down one with the row; it starts at max(m, live - 1)

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from .counting import CapacityError, enumerate_polytope
 from .exactmath import catalan, factorial, rising_factorial
-from .paths import Diffs, as_integer, as_integers
+from .paths import Diffs, _shown, as_integer, as_integers
 
 # largest n that symbolic_lp expands: C_13 = 742 900 stored terms, about 300 MB
 SYMBOLIC_CAP = 12
@@ -163,9 +163,9 @@ def check_nvars(n: int) -> int:
     """Return ``n`` as an int, refusing a variable count ``symbolic_lp`` would not expand."""
     n = as_integer(n, "variable count")
     if n < 0:
-        raise ValueError(f"variable count {n} is negative")
+        raise ValueError(f"variable count {_shown(n)} is negative")
     if n > SYMBOLIC_CAP:
-        raise CapacityError(f"symbolic expansion capacity exceeded: n = {n} is over the cap {SYMBOLIC_CAP}")
+        raise CapacityError(f"symbolic expansion capacity exceeded: n = {_shown(n)} is over the cap {SYMBOLIC_CAP}")
     return n
 
 

@@ -459,10 +459,26 @@ def test_symbolic_count_terms_builds_no_term(capsys, monkeypatch):
 
 
 def test_symbolic_negative_n_exit_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["symbolic", "-1"])
-    assert exc.value.code == 2
-    assert "negative" in capsys.readouterr().err
+    for n, refusal in (("-1", "negative"), ("x", "'x' is not an integer"), ("1.5", "'1.5' is not an integer"),
+                       ("7" * 5000, "'" + "7" * 20 + "'... has too many digits")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["symbolic", n])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert refusal in err
+        assert "nonnegative_int" not in err
+        assert len(err.splitlines()[-1]) < 200  # the usage lines above it do not grow with n
+
+
+def test_capacity_refusals_show_a_huge_number_cut(capsys, monkeypatch):
+    # a 4 000-digit size parses, and is refused by the symbolic cap; a 60-step path with heights
+    # near 10^31 has a count of over a thousand digits, over the enumerate output cap
+    code, out, err = run(capsys, "symbolic", "7" * 4000)
+    assert (code, out) == (3, "")
+    assert err == "error: symbolic expansion capacity exceeded: n = " + "7" * 20 + "... is over the cap 12\n"
+    code, out, err = run(capsys, "enumerate", "h:" + ",".join(str(10**31 + i) for i in range(60)))
+    assert (code, out) == (3, "")
+    assert "paths is over the output cap" in err and len(err) < 200
 
 
 def test_verify_single_suites(capsys):
@@ -702,11 +718,20 @@ def test_probability_inconsistent_endpoint(capsys):
 
 
 def test_probability_negative_endpoint_exit_2(capsys):
-    for n, m, refusal in (("-1", "2", "argument n: -1 is negative"), ("1", "-2", "argument m: -2 is negative")):
+    for n, m, refusal in (
+        ("-1", "2", "argument n: -1 is negative"),
+        ("1", "-2", "argument m: -2 is negative"),
+        ("x", "1", "argument n: 'x' is not an integer"),
+        ("1", "1.5", "argument m: '1.5' is not an integer"),
+        # past the interpreter's digit limit; the refusal shows 20 of its 5 000 digits
+        ("7" * 5000, "1", "argument n: '" + "7" * 20 + "'... has too many digits"),
+    ):
         with pytest.raises(SystemExit) as exc:
             cli.main(["probability", "h:0", n, m])
         assert exc.value.code == 2
-        assert refusal in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert refusal in err
+        assert len(err) < 200
 
 
 def test_probability_json(capsys):

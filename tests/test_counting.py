@@ -835,7 +835,7 @@ def test_ballot_matches_dp_oracle_on_small_lines():
 @pytest.mark.parametrize("engines, a, m, n, transposed", [
     # tall lines: triangular's band and determinant's rows run the whole length
     (("triangular", "determinant"), 0, 10**13, 160, False),
-    (("triangular",), 3, 10**20, 250, False),
+    (("triangular", "determinant"), 3, 10**20, 250, False),
     # every band and running-sum engine on one long line
     (("dp", "recurrence", "triangular", "determinant"), 2, 5, 600, False),
     # n = 800, and long-low transposes whose runs have length m: 1 771 x 60 and 3 800 x 20
@@ -892,7 +892,7 @@ def test_determinant_matches_det_int_on_the_full_kreweras_matrix():
     # the matrix is built whole, the zeros below the subdiagonal included
     rng = random.Random(42)
     for n in range(41):
-        top = rng.choice((1, n, 10**3, 10**9))
+        top = rng.choice((1, n, 10**3, 10**9, 10**20))  # 10**20: products past 2^64 in every row
         p = tuple(sorted(rng.randint(0, top) for _ in range(n)))
         full = [[binom(p[i] + 1, j - i + 1) for j in range(n)] for i in range(n)]
         assert count_determinant(p) == det_int(full), p

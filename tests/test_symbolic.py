@@ -90,6 +90,11 @@ def test_symbolic_cap():
             symbolic_lp(n)
     with pytest.raises(ValueError):
         symbolic_lp(-1)
+    # past the interpreter's digit limit the refusal shows 20 digits, converting none of the rest
+    with pytest.raises(CapacityError, match=r"n = 1(0){19}\.\.\. is over the cap 12$"):
+        symbolic_lp(10**5000)
+    with pytest.raises(ValueError, match=r"variable count -1(0){18}\.\.\. is negative$"):
+        symbolic_lp(-(10**5000))
 
 
 def test_rfpolynomial_rejects_disorder():
