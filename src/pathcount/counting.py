@@ -8,10 +8,10 @@ Five engines compute it:
   column one running sum of the last, a run of zero differences paid at once;
 * ``determinant`` - Kreweras' binomial determinant; its matrix is upper
   Hessenberg with every subdiagonal entry 1, so one cofactor expansion row by
-  row evaluates it exactly with no pivot search: the minors divide by nothing,
-  each row's binomials step along it by one exact small division, and each row
-  stops at the zero tail of the minors, so O(n * min(n, max p)) steps, exact
-  on heights in any order;
+  row evaluates it exactly with no pivot search: each row steps binom(p_i + 1, k)
+  times the pivot by one small multiply and one exact small division, so no
+  step multiplies two big integers, and each row stops at the zero tail of the
+  minors, so O(n * min(n, max p)) steps, exact on heights in any order;
 * ``triangular``  - banded forward substitution through the triangular
   system behind that determinant, stepping each live binomial in place;
 * ``theorem``     - sum of binomial products over the lattice points of the
@@ -142,9 +142,9 @@ def count_determinant(p: Heights) -> int:
     zero or negative included; b reaches 0 at k = m + 1 and stays 0.  The minors need no pivot
     search, and the expansion holds for any pivot value.  The products are ``triangular``'s
     terms up to sign, reached along another index order by another recurrence, so agreement
-    between the two engines checks less than it did: the checks that share no arithmetic with
-    either are ``det_int``'s Bareiss elimination over the whole matrix and the ballot closed
-    form in ``tests/test_counting.py``, and ``verify det-identity``.
+    between the two engines does not check the arithmetic they share.  These checks share none
+    with either: ``det_int``'s Bareiss elimination over the whole matrix and the ballot closed
+    form, both in ``tests/test_counting.py``, and ``verify det-identity``.
 
     The row keeps a zero tail, ``row[live:]``.  Past both m and ``live`` the binomial and the
     entry read are 0, so the step writes the 0 already there and is skipped; the tail then
@@ -162,7 +162,7 @@ def count_determinant(p: Heights) -> int:
         # conditionals, not min() and max(): their calls made a 1-7 step path 75% slower;
         # row[k] is read before row[k - 1] is set: the row moves down one
         for k in range(1, live + 1 if live < width else width):
-            b = b * (m + 1 - k) // k  # binom(m, k) * pivot from binom(m, k - 1) * pivot; 0 from k = m + 1 on
+            b = b * (m + 1 - k) // k  # binom(m, k) * pivot, exact; 0 from k = m + 1 on
             row[k - 1] = b - row[k]
         row.pop()  # the last entry, already moved down or in the zero tail
         width -= 1

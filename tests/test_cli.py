@@ -470,7 +470,7 @@ def test_symbolic_negative_n_exit_2(capsys):
         assert len(err.splitlines()[-1]) < 200  # the usage lines above it do not grow with n
 
 
-def test_capacity_refusals_show_a_huge_number_cut(capsys, monkeypatch):
+def test_capacity_refusals_show_a_huge_number_cut(capsys):
     # a 4 000-digit size parses, and is refused by the symbolic cap; a 60-step path with heights
     # near 10^31 has a count of over a thousand digits, over the enumerate output cap
     code, out, err = run(capsys, "symbolic", "7" * 4000)

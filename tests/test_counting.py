@@ -892,7 +892,7 @@ def test_determinant_matches_det_int_on_the_full_kreweras_matrix():
     # the matrix is built whole, the zeros below the subdiagonal included
     rng = random.Random(42)
     for n in range(41):
-        top = rng.choice((1, n, 10**3, 10**9, 10**20))  # 10**20: products past 2^64 in every row
+        top = rng.choice((1, n, 10**3, 10**9, 10**20))  # 10**20: step factors past 2^64
         p = tuple(sorted(rng.randint(0, top) for _ in range(n)))
         full = [[binom(p[i] + 1, j - i + 1) for j in range(n)] for i in range(n)]
         assert count_determinant(p) == det_int(full), p
