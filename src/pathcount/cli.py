@@ -14,7 +14,7 @@ import sys
 from .counting import ENGINES, CapacityError, count, enumerate_restricted
 from .exactmath import binom, catalan
 from .identities import CHECKS
-from .paths import Heights, _shown, format_heights, parse_path_spec
+from .paths import SHOWN_CHARS, Heights, _shown, format_heights, parse_path_spec
 from .symbolic import check_nvars, expand, serialize, symbolic_lp, term_items
 
 EXIT_OK = 0
@@ -36,14 +36,19 @@ def _parse_path(spec: str) -> Heights:
         raise UsageError(str(exc)) from None
 
 
-def nonnegative_int(text: str) -> int:
-    """Read a size or endpoint; a refusal shows the text through ``_shown`` and says why."""
+def integer(text: str) -> int:
+    """Read an integer argument, such as a seed; a refusal shows the text through ``_shown`` and says why."""
     try:
-        value = int(text)
+        return int(text)
     except ValueError:  # int() also refuses more digits than the interpreter's limit
         digits = text.strip().lstrip("+-").replace("_", "")
         why = "has too many digits" if digits.isdecimal() else "is not an integer"
         raise argparse.ArgumentTypeError(f"{_shown(text)} {why}") from None
+
+
+def nonnegative_int(text: str) -> int:
+    """Read a size or endpoint, refused as :func:`integer` refuses it or when negative."""
+    value = integer(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"{_shown(value)} is negative")
     return value
@@ -146,9 +151,11 @@ def cmd_probability(args) -> int:
     p = _parse_path(args.path)
     n, m = args.n, args.m
     if len(p) != n or (p and p[-1] > m):
-        raise UsageError(
-            f"path {format_heights(p)} is inconsistent with endpoint ({n}, {m})"
-        )
+        # more than SHOWN_CHARS heights never fit in SHOWN_CHARS characters, so only those are formatted
+        shown = format_heights(p[:SHOWN_CHARS])
+        if len(shown) > SHOWN_CHARS:
+            shown = shown[:SHOWN_CHARS] + "..."
+        raise UsageError(f"path {shown} is inconsistent with endpoint ({_shown(n)}, {_shown(m)})")
     favorable, total = count(p, "triangular"), binom(n + m, n)
     ratio = str(Fraction(favorable, total))  # "a/b", or "a" when b is 1
     _emit(args, {
@@ -185,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", parents=[common], help="run the consistency suites")
     sp.add_argument("suite", nargs="?", choices=("all", *CHECKS), default="all")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=integer, default=0)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("probability", parents=[common],

@@ -734,6 +734,29 @@ def test_probability_negative_endpoint_exit_2(capsys):
         assert len(err) < 200
 
 
+def test_refusals_cut_a_huge_path_endpoint_or_seed(capsys):
+    # the first three were echoed whole: 6 051, 352 and 5 229 bytes of stderr
+    for argv, refusal in (
+        (["probability", "h:" + ",".join(["0"] * 3000), "1", "0"], "path h:0,0,0,0,0,0,0,0,0,... is inconsistent"),
+        (["probability", "h:0", "2", "7" * 300], "inconsistent with endpoint (2, " + "7" * 20 + "...)"),
+        (["verify", "--seed", "7" * 5000], "argument --seed: '" + "7" * 20 + "'... has too many digits"),
+        (["verify", "--seed", "1.5"], "argument --seed: '1.5' is not an integer"),
+    ):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2, argv[:2]
+        err = capsys.readouterr().err
+        assert refusal in err
+        assert len(err.splitlines()[-1]) < 200, argv[:2]
+
+
+def test_verify_seed_takes_a_negative_integer(capsys):
+    code, out, _ = run(capsys, "verify", "eq3", "--seed", "-3")
+    assert code == 0 and out.startswith("eq3: pass")
+
+
 def test_probability_json(capsys):
     code, out, _ = run(capsys, "probability", "h:0,1", "2", "2", "--format", "json")
     assert code == 0

@@ -13,7 +13,7 @@ from math import comb, prod
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import pathcount
 from pathcount import counting
@@ -832,6 +832,20 @@ def test_ballot_matches_dp_oracle_on_small_lines():
         assert ballot(a, m, n) == dp_oracle(line(a, m, n)), (a, m, n)
 
 
+# bounded by size: a tall line of 40 costs triangular about 800 steps, a line of 30 below 600 costs dp
+# about 9 000 additions
+@settings(deadline=None)
+@given(st.integers(0, 10**30), st.integers(0, 10**30), st.integers(0, 40))
+def test_triangular_matches_the_ballot_formula_on_tall_lines(a, m, n):
+    assert count_triangular(line(a, m, n)) == ballot(a, m, n)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 20), st.integers(0, 20), st.integers(0, 30))
+def test_dp_matches_the_ballot_formula_on_lines(a, m, n):
+    assert dp_oracle(line(a, m, n)) == ballot(a, m, n)
+
+
 @pytest.mark.parametrize("engines, a, m, n, transposed", [
     # tall lines: triangular's band and determinant's rows run the whole length
     (("triangular", "determinant"), 0, 10**13, 160, False),
@@ -898,36 +912,67 @@ def test_determinant_matches_det_int_on_the_full_kreweras_matrix():
         assert count_determinant(p) == det_int(full), p
 
 
-def test_determinant_kernel_is_the_hessenberg_expansion_on_unsorted_heights():
-    # on a nondecreasing path every minor past a row's zero binomial is itself zero, so only
-    # unsorted heights, outside what count passes, show a kernel that stops negating them
+def unsorted_heights_and_full_kreweras_matrices():
+    """600 height tuples in no order, outside what count passes, each with its whole matrix."""
     rng = random.Random(6)
     paths = [tuple(rng.randint(0, 5) for _ in range(rng.randint(0, 12))) for _ in range(300)]
     # a tall height after zeros and ones leaves a zero tail that the short rows after it shrink
     paths += [tuple(rng.choice((0, 1, 9)) for _ in range(rng.randint(0, 16))) for _ in range(300)]
     for p in paths:
-        full = [[binom(p[i] + 1, j - i + 1) for j in range(len(p))] for i in range(len(p))]
+        yield p, [[binom(p[i] + 1, j - i + 1) for j in range(len(p))] for i in range(len(p))]
+
+
+def test_determinant_kernel_is_the_hessenberg_expansion_on_unsorted_heights():
+    # on a nondecreasing path every minor past a row's zero binomial is itself zero, so only
+    # unsorted heights show a kernel that stops negating them
+    for p, full in unsorted_heights_and_full_kreweras_matrices():
         assert count_determinant(p) == det_int(full), p
 
 
-def test_determinant_rows_stop_at_their_zero_tail(monkeypatch):
-    # row i of a nondecreasing path has min(n - i, p_i + 1) nonzero minors; the whole live row
-    # would be n - i steps, n^2 / 2 in all, on a long, low path
-    steps = 0
+def test_triangular_solve_is_exact_on_unsorted_heights():
+    # each row is stepped from its own height alone, so no order of the heights is assumed
+    for p, full in unsorted_heights_and_full_kreweras_matrices():
+        assert count_triangular(p) == det_int(full), p
+
+
+@pytest.fixture
+def range_steps(monkeypatch):
+    """Count the steps of every ``range`` that ``counting`` builds: ``range_steps[0]`` sums their lengths."""
+    steps = [0]
 
     def counted(*args):
-        nonlocal steps
         r = range(*args)
-        steps += len(r)
+        steps[0] += len(r)
         return r
 
     monkeypatch.setattr(counting, "range", counted, raising=False)
+    return steps
+
+
+# long and low, medium, and a rectangle, where every row runs to the last equation
+ZERO_TAIL_SIZES = ((2000, 3), (600, 20), (200, 200))
+
+
+def test_determinant_rows_stop_at_their_zero_tail(range_steps):
+    # row i of a nondecreasing path has min(n - i, p_i + 1) nonzero minors; the whole live row
+    # would be n - i steps, n^2 / 2 in all, on a long, low path
     rng = random.Random(23)
-    for n, top in ((2000, 3), (600, 20), (200, 200)):
+    for n, top in ZERO_TAIL_SIZES:
         p = tuple(sorted(rng.randint(0, top) for _ in range(n)))
-        steps = 0
+        range_steps[0] = 0
         got = count_determinant(p)
-        assert steps <= sum(min(n - i, h + 1) for i, h in enumerate(p)), (n, top)
+        assert range_steps[0] <= sum(min(n - i, h + 1) for i, h in enumerate(p)), (n, top)
+        assert got == dp_oracle(p), (n, top)
+
+
+def test_triangular_rows_stop_at_their_zero(range_steps):
+    # row r has min(p_r, n - 1 - r) terms past its first; the whole row would be n - 1 - r steps
+    rng = random.Random(23)
+    for n, top in ZERO_TAIL_SIZES:
+        p = tuple(sorted(rng.randint(0, top) for _ in range(n)))
+        range_steps[0] = 0
+        got = count_triangular(p)
+        assert range_steps[0] <= sum(min(h, n - 1 - r) for r, h in enumerate(p)), (n, top)
         assert got == dp_oracle(p), (n, top)
 
 
