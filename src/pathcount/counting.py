@@ -144,10 +144,11 @@ def count_determinant(p: Heights) -> int:
     k divides binom(m, k - 1) * (m + 1 - k), so the division is exact for any integer pivot,
     zero or negative included; b reaches 0 at k = m + 1 and stays 0.  The minors need no pivot
     search, and the expansion holds for any pivot value.  The products are ``triangular``'s
-    terms up to sign, reached along another index order by another recurrence, so agreement
-    between the two engines does not check the arithmetic they share.  These checks share none
-    with either: ``det_int``'s Bareiss elimination over the whole matrix and the ballot closed
-    form, both in ``tests/test_counting.py``, and ``verify det-identity``.
+    terms up to sign, and ``triangular`` reaches them along the same row by the same kind of
+    step; the engines differ only in how they combine them, so agreement between the two does
+    not check the arithmetic they share.  These checks share none with either: ``det_int``'s
+    Bareiss elimination over the whole matrix and the ballot closed form, both in
+    ``tests/test_counting.py``, and ``verify det-identity``.
 
     The row keeps a zero tail, ``row[live:]``.  Past both m and ``live`` the binomial and the
     entry read are 0, so the step writes the 0 already there and is skipped; the tail then

@@ -802,7 +802,7 @@ def test_each_engine_counts_a_path_and_its_transpose_alike(p):
 @pytest.mark.parametrize("n, top", [(160, 10**5), (220, 3 * 10**4)])
 def test_dp_on_a_long_low_transpose_matches_triangular_on_the_short_tall_path(n, top):
     # at 160 x 10^5 dp pays p*'s runs of equal heights, 26 of them over a thousand long, by
-    # weighted sums; at 220 x 3 * 10^4 triangular's band passes 200 rows
+    # weighted sums; at 220 x 3 * 10^4 triangular's early rows step past 200 terms
     rng = random.Random(12)
     p = tuple(sorted(rng.randint(0, top) for _ in range(n)))
     pt = transpose(p)
@@ -847,7 +847,7 @@ def test_dp_matches_the_ballot_formula_on_lines(a, m, n):
 
 
 @pytest.mark.parametrize("engines, a, m, n, transposed", [
-    # tall lines: triangular's band and determinant's rows run the whole length
+    # tall lines: triangular's and determinant's rows run the whole length
     (("triangular", "determinant"), 0, 10**13, 160, False),
     (("triangular", "determinant"), 3, 10**20, 250, False),
     # every band and running-sum engine on one long line
@@ -949,7 +949,7 @@ def range_steps(monkeypatch):
     return steps
 
 
-# long and low, medium, and a rectangle, where every row runs to the last equation
+# long and low, medium, and square, where most rows reach the last equation
 ZERO_TAIL_SIZES = ((2000, 3), (600, 20), (200, 200))
 
 
