@@ -1,85 +1,12 @@
-"""Exact counting of northeast lattice paths restricted by a bounding path."""
+"""Exact counting of lattice paths below a bounding path: every module's ``__all__``, re-exported."""
 
-from .counting import (
-    ENGINES,
-    THEOREM_CAP,
-    CapacityError,
-    count,
-    dp_oracle,
-    enumerate_polytope,
-    enumerate_restricted,
-    macmahon_bruteforce,
-    macmahon_total,
-)
-from .exactmath import binom, catalan, det_int, factorial, rising_factorial
-from .identities import (
-    ChildSet,
-    children,
-    lemma_closed,
-    lemma_lhs,
-    lemma_rhs,
-    parent,
-    vandermonde_gen,
-)
-from .paths import (
-    delta,
-    format_heights,
-    heights_to_word,
-    in_polytope,
-    is_restricted_by,
-    parse_path_spec,
-    sigma,
-    validate_heights,
-    word_to_heights,
-)
-from .symbolic import (
-    MonomialPolynomial,
-    RFPolynomial,
-    RFTerm,
-    evaluate,
-    expand,
-    serialize,
-    symbolic_lp,
-)
+from .counting import *
+from .exactmath import *
+from .identities import *
+from .paths import *
+from .symbolic import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CapacityError",
-    "ChildSet",
-    "ENGINES",
-    "MonomialPolynomial",
-    "RFPolynomial",
-    "RFTerm",
-    "THEOREM_CAP",
-    "binom",
-    "catalan",
-    "children",
-    "count",
-    "delta",
-    "det_int",
-    "dp_oracle",
-    "enumerate_polytope",
-    "enumerate_restricted",
-    "evaluate",
-    "expand",
-    "factorial",
-    "format_heights",
-    "heights_to_word",
-    "in_polytope",
-    "is_restricted_by",
-    "lemma_closed",
-    "lemma_lhs",
-    "lemma_rhs",
-    "macmahon_bruteforce",
-    "macmahon_total",
-    "parent",
-    "parse_path_spec",
-    "rising_factorial",
-    "serialize",
-    "sigma",
-    "symbolic_lp",
-    "validate_heights",
-    "vandermonde_gen",
-    "word_to_heights",
-]
+# each star import also binds its submodule here
+__all__ = [*counting.__all__, *exactmath.__all__, *identities.__all__, *paths.__all__, *symbolic.__all__]

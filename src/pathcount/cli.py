@@ -14,7 +14,7 @@ import sys
 from .counting import ENGINES, CapacityError, count, enumerate_restricted
 from .exactmath import binom, catalan
 from .identities import CHECKS
-from .paths import SHOWN_CHARS, Heights, _shown, format_heights, parse_path_spec
+from .paths import SHOWN_CHARS, Heights, _int_refusal, _shown, format_heights, parse_path_spec
 from .symbolic import check_nvars, expand, serialize, symbolic_lp, term_items
 
 EXIT_OK = 0
@@ -41,9 +41,7 @@ def integer(text: str) -> int:
     try:
         return int(text)
     except ValueError:  # int() also refuses more digits than the interpreter's limit
-        digits = text.strip().lstrip("+-").replace("_", "")
-        why = "has too many digits" if digits.isdecimal() else "is not an integer"
-        raise argparse.ArgumentTypeError(f"{_shown(text)} {why}") from None
+        raise argparse.ArgumentTypeError(f"{_shown(text)} {_int_refusal(text)}") from None
 
 
 def nonnegative_int(text: str) -> int:
@@ -75,20 +73,20 @@ def _refusal(exc: CapacityError) -> str:
 def cmd_count(args) -> int:
     p = _parse_path(args.path)
     engines = ENGINES if args.engine == "all" else (args.engine,)
-    results = {}
-    for engine in engines:
+    path, values = {"heights": list(p)}, set()
+    for engine in engines:  # each line is written as its count returns
         try:
-            results[engine] = count(p, engine)
+            value = count(p, engine)
         except CapacityError as exc:
             if args.engine != "all":
                 raise
             print(f"note: {engine} engine skipped ({_refusal(exc)})", file=sys.stderr)
-    path = {"heights": list(p)}
-    for engine, value in results.items():
+            continue
+        values.add(value)
         text = str(value)
         _emit(args, {"path": path, "engine": engine, "count": text},
               f"{engine} {text}" if args.engine == "all" else text)
-    if len(set(results.values())) > 1:
+    if len(values) > 1:
         print("error: engines disagree", file=sys.stderr)
         return EXIT_FAILED
     return EXIT_OK

@@ -47,6 +47,18 @@ from typing import Iterator
 from .exactmath import factorial
 from .paths import Diffs, Heights, Point, as_integers, delta, validate_diffs, validate_heights
 
+__all__ = [
+    "CapacityError",
+    "ENGINES",
+    "THEOREM_CAP",
+    "count",
+    "dp_oracle",
+    "enumerate_polytope",
+    "enumerate_restricted",
+    "macmahon_bruteforce",
+    "macmahon_total",
+]
+
 # longest path the theorem engine takes; it refuses longer ones, which `count --engine all` skips
 THEOREM_CAP = 14
 # longest column, in integers, that the dp and recurrence engines may build;
@@ -143,11 +155,11 @@ def count_determinant(p: Heights) -> int:
     multiply and one exact division, (m + 1 - k) / k, so no step multiplies two big integers.
     k divides binom(m, k - 1) * (m + 1 - k), so the division is exact for any integer pivot,
     zero or negative included; b reaches 0 at k = m + 1 and stays 0.  The minors need no pivot
-    search, and the expansion holds for any pivot value.  The products are ``triangular``'s
-    terms up to sign, and ``triangular`` reaches them along the same row by the same kind of
-    step; the engines differ only in how they combine them, so agreement between the two does
-    not check the arithmetic they share.  These checks share none with either: ``det_int``'s
-    Bareiss elimination over the whole matrix and the ballot closed form, both in
+    search, and the expansion holds for any pivot value.  The band engines hold the same state:
+    after row i, ``row[0]`` is LP(p_1..p_(i+1)) and ``row[j - i]`` = M_i(j) is (-1)^(j - i) times
+    ``triangular``'s ``pending[j]`` for every j > i, so their agreement checks index bookkeeping,
+    not arithmetic.  These checks share none of it: ``det_int``'s Bareiss elimination, the ballot
+    closed form and this determinant's residues modulo two 61-bit primes, all in
     ``tests/test_counting.py``, and ``verify det-identity``.
 
     The row keeps a zero tail, ``row[live:]``.  Past both m and ``live`` the binomial and the
@@ -186,8 +198,10 @@ def count_triangular(p: Heights) -> int:
     one exact small division: t_r(k - 1) * (k - m) = (-1)^k (k + 1) binom(m, k + 1) LP(p_1..p_r)
     for any integer LP.  It stops at its last nonzero term below equation n, so the path costs
     sum over r of min(p_r, n - 1 - r) steps, O(n * min(n, max p)).  Each row depends only on its
-    own height and LP, so the solve is exact on heights in any order.  ``p`` is a height tuple
-    :func:`count` has validated.
+    own height and LP, so the solve is exact on heights in any order.  ``pending[j]`` after row r is
+    (-1)^(j - r) times :func:`count_determinant`'s M_r(j), j > r: agreement of the two checks index
+    bookkeeping, and ``det_int``, the ballot form and the residue tests the arithmetic.  ``p`` is a
+    height tuple :func:`count` has validated.
     """
     n = len(p)
     lp, pending = 1, [0] * n  # LP of the prefix so far; pending[j]: equation j's rows added so far

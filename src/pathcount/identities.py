@@ -21,6 +21,16 @@ from .exactmath import binom
 from .paths import Diffs, Heights, Point, sigma
 from .symbolic import evaluate, symbolic_lp
 
+__all__ = [
+    "ChildSet",
+    "children",
+    "lemma_closed",
+    "lemma_lhs",
+    "lemma_rhs",
+    "parent",
+    "vandermonde_gen",
+]
+
 
 class ChildSet(NamedTuple):
     """A point together with all points one coordinate longer that map back to it."""

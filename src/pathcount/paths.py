@@ -25,6 +25,18 @@ Diffs = tuple[int, ...]
 Point = tuple[int, ...]
 Word = str
 
+__all__ = [
+    "delta",
+    "format_heights",
+    "heights_to_word",
+    "in_polytope",
+    "is_restricted_by",
+    "parse_path_spec",
+    "sigma",
+    "validate_heights",
+    "word_to_heights",
+]
+
 # characters of a refused spec, entry or value that the error message shows
 SHOWN_CHARS = 20
 
@@ -45,6 +57,12 @@ def _shown(value) -> str:
     except ValueError:  # the repr of some other type, such as a Fraction, met the digit limit
         text = type(value).__name__ + "(...)"
     return text if len(text) <= SHOWN_CHARS else text[:SHOWN_CHARS] + "..."
+
+
+def _int_refusal(text: str) -> str:
+    """Why ``int`` refused ``text``: a well-formed literal has too many digits, anything else is no integer."""
+    import re  # only a refusal pays for the import
+    return "has too many digits" if re.fullmatch(r"\s*[+-]?\d+(_\d+)*\s*", text) else "is not an integer"
 
 
 def as_integer(x, what: str) -> int:
@@ -167,8 +185,8 @@ def parse_path_spec(spec: str) -> Heights:
 
     The entries are checked by :func:`word_to_heights`, :func:`validate_heights` and
     :func:`validate_diffs`.  An ``h:`` or ``d:`` entry that ``int`` refuses is named by its
-    1-based position.  That refusal and a bad prefix show at most ``SHOWN_CHARS`` characters
-    of the spec, so their messages stay short however long the spec is.
+    1-based position and ``_int_refusal``'s reason.  That refusal and a bad prefix show at most
+    ``SHOWN_CHARS`` characters of the spec, so their messages stay short however long it is.
     """
     form, body = spec[:2], spec[2:]
     if form == "w:":
@@ -181,7 +199,7 @@ def parse_path_spec(spec: str) -> Heights:
         values.extend(map(int, entries))  # keeps the entries read before a refusal
     except ValueError:
         i = len(values)
-        raise ValueError(f"{form} entry {i + 1} is not an integer: {_shown(entries[i])}") from None
+        raise ValueError(f"{form} entry {i + 1} {_int_refusal(entries[i])}: {_shown(entries[i])}") from None
     return sigma(validate_diffs(values)) if form == "d:" else validate_heights(values)
 
 

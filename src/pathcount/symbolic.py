@@ -33,12 +33,10 @@ __all__ = [
     "MonomialPolynomial",
     "RFPolynomial",
     "RFTerm",
-    "check_nvars",
     "evaluate",
     "expand",
     "serialize",
     "symbolic_lp",
-    "term_items",
 ]
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 import pathcount
-from pathcount import cli, identities, symbolic
+from pathcount import cli, counting, exactmath, identities, paths, symbolic
 from pathcount.counting import ENGINES, dp_oracle
 from pathcount.identities import CHECKS
 from pathcount.paths import parse_path_spec, sigma
@@ -150,6 +150,15 @@ def test_count_parse_error_names_the_entry_not_the_spec(capsys):
     assert code == 2
     assert "path spec 'q:1,1,1,1,1,1,1,1,1,'... must start with" in err
     assert len(err.encode()) < 200
+
+
+def test_count_entry_over_the_digit_limit(capsys):
+    # the CLI lifts the interpreter's digit limit, so a 5 000-digit height is counted, not refused
+    code, out, err = run(capsys, "count", "h:" + "1" * 5000)
+    assert code == 0
+    want = "1" * 4999 + "2"  # a single height h has h + 1 paths below it
+    assert out == "".join(f"{engine} {want}\n" for engine in ENGINES if engine != "dp")
+    assert err.startswith("note: dp engine skipped (a column of ")
 
 
 def test_count_theorem_cap_exit_3(capsys):
@@ -360,6 +369,17 @@ def test_package_namespace_is_eager():
         "print(sorted(missing | (set(pathcount.__all__) - set(star))))\n"
     )
     assert missing == "[]"
+
+
+def test_package_exports_the_union_of_the_module_lists():
+    # each public name is declared once, in the __all__ of the module that defines it
+    modules = (counting, exactmath, identities, paths, symbolic)
+    names = [name for module in modules for name in module.__all__]
+    assert len(names) == len(set(names))
+    assert sorted(pathcount.__all__) == sorted(names)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(pathcount, name) is getattr(module, name), name
 
 
 def test_benchmark_uses_only_the_public_namespace():
@@ -741,6 +761,9 @@ def test_refusals_cut_a_huge_path_endpoint_or_seed(capsys):
         (["probability", "h:0", "2", "7" * 300], "inconsistent with endpoint (2, " + "7" * 20 + "...)"),
         (["verify", "--seed", "7" * 5000], "argument --seed: '" + "7" * 20 + "'... has too many digits"),
         (["verify", "--seed", "1.5"], "argument --seed: '1.5' is not an integer"),
+        # a literal int() refuses for its form, not its length, was said to have too many digits
+        (["verify", "--seed=--5"], "argument --seed: '--5' is not an integer"),
+        (["verify", "--seed", "1__2"], "argument --seed: '1__2' is not an integer"),
     ):
         try:
             code = cli.main(argv)

@@ -986,6 +986,53 @@ def test_determinant_matches_triangular_on_short_tall_paths():
     assert count_determinant(p) == count_triangular(p) == binom(10**15 + 50, 50)
 
 
+# two primes just under 2^61: 2^61 - 1 and 2^61 - 31
+RESIDUE_PRIMES = (2**61 - 1, 2**61 - 31)
+
+
+def lp_mod(p, q):
+    """LP(p) mod the prime q > len(p): Kreweras' determinant det[binom(p_i + 1, j - i + 1)] mod q.
+
+    The Hessenberg expansion along the rows, M_i(j) = binom(p_i + 1, j - i + 1) * M_(i-1)(i - 1)
+    - M_(i-1)(j), is taken mod q over every column j >= i, with no zero tail and no early stop;
+    binom(p_i + 1, k) is stepped from binom(p_i + 1, k - 1) by p_i + 2 - k and the inverse of k
+    mod q.  No big integer is ever formed, so this shares no arithmetic with the band engines.
+    """
+    n = len(p)
+    inverse = [0] + [pow(k, q - 2, q) for k in range(1, n + 1)]
+    minors, pivot = [0] * n, 1  # M_(-1)(j) = 0 for every column j; the empty minor is 1
+    for i, h in enumerate(p):
+        b = 1  # binom(p_i + 1, 0)
+        for j in range(i, n):
+            k = j - i + 1
+            b = b * (h + 2 - k) % q * inverse[k] % q
+            minors[j] = (b * pivot - minors[j]) % q
+        pivot = minors[i]
+    return pivot
+
+
+def test_lp_mod_matches_dp_oracle_on_every_small_path():
+    for n in range(7):
+        for p in nondecreasing_tuples(n, 7):
+            assert lp_mod(p, 101) == dp_oracle(p) % 101, p
+
+
+@pytest.mark.parametrize("engines, n, top", [
+    (("triangular", "determinant"), 160, 10**13),
+    (("triangular", "determinant"), 250, 10**20),
+    (("triangular",), 400, 10**30),
+], ids=["tall-160", "tall-250", "tall-400"])
+def test_band_engines_match_residues_on_tall_random_paths(engines, n, top):
+    # past n = 40 only the ballot lines check the band engines on tall paths, and the two engines
+    # agree with each other by construction; step factors pass 2^64 from 10^20 on
+    rng = random.Random(n)
+    p = tuple(sorted(rng.randint(0, top) for _ in range(n)))
+    residues = [lp_mod(p, q) for q in RESIDUE_PRIMES]
+    for engine in engines:
+        value = count(p, engine)
+        assert [value % q for q in RESIDUE_PRIMES] == residues, engine
+
+
 def test_restriction_bijection_counts():
     # direct enumeration of restricted paths vs the polytope recurrence
     for n in range(5):

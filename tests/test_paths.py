@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import sys
 from itertools import product
 
 import pytest
@@ -192,6 +193,28 @@ def test_parse_path_spec_forms():
     assert parse_path_spec("h:") == ()
     assert parse_path_spec("d:") == ()
     assert parse_path_spec("w:") == ()
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit")
+def test_parse_path_spec_names_an_entry_over_the_digit_limit():
+    # an entry of 5 000 ones was said not to be an integer; the CLI says it has too many digits
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ValueError, match="^" + re.escape("h: entry 1 has too many digits: '" + "1" * 20 + "'...") + "$"):
+            parse_path_spec("h:" + "1" * 5000)
+        with pytest.raises(ValueError, match="^" + re.escape("d: entry 2 is not an integer: '" + "7" * 20 + "'...") + "$"):
+            parse_path_spec("d:1," + "7" * 5000 + "z")
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_parse_path_spec_names_a_malformed_entry_whatever_its_length():
+    # int() refuses these for their form, not their length
+    for spec in ("h:1__2", "h:+-3", "h: 1_2_"):
+        with pytest.raises(ValueError, match="^" + re.escape(f"h: entry 1 is not an integer: {spec[2:]!r}") + "$"):
+            parse_path_spec(spec)
+    assert parse_path_spec("h: 1_2 ,+13") == (12, 13)
 
 
 @pytest.mark.parametrize(
