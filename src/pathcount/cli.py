@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: count, enumerate, symbolic, verify, probability.
-Exit codes: 0 success, 1 failed check/disagreement, 2 usage or parse error,
-3 capacity exceeded.
+Exit codes: 0 success, 1 failed check, engine disagreement or a write to a closed
+stdout, 2 usage or parse error, 3 capacity exceeded.
 """
 
 from __future__ import annotations

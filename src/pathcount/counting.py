@@ -11,7 +11,7 @@ Five engines compute it:
   row evaluates it exactly with no pivot search: each row steps binom(p_i + 1, k)
   times the pivot by one small multiply and one exact small division, so no
   step multiplies two big integers, and each row stops at the zero tail of the
-  minors, so O(n * min(n, max p)) steps, exact on heights in any order;
+  minors, which a nondecreasing path keeps, so O(n * min(n, max p)) steps;
 * ``triangular``  - column-oriented forward substitution through the triangular
   system behind that determinant: once a prefix's LP is known, its row steps its
   terms by one small multiply and one exact small division each and adds them into
@@ -21,9 +21,8 @@ Five engines compute it:
   all-ones polytope, grouped by slack into a table kept reversed, which a
   nonzero difference x steps by x running sums (n capped at ``THEOREM_CAP``);
 * ``dp``          - column-by-column dynamic program directly over admissible
-  heights, each column one running sum of the last, a run of equal bounds
-  paid at once; it takes any tuple of bounds, monotone or not, and is the
-  oracle the others are checked against.
+  heights, each column one running sum of the last padded with its total up
+  to the new bound, a run of equal bounds paid at once.
 
 ``recurrence``, ``theorem`` and ``dp`` pay k running sums over c entries through one
 helper, ``_running_sums``, as k passes or as one weighted sum, by the rule in its docstring.
@@ -32,9 +31,11 @@ pays as one sum of c products where its own rule finds that cheaper than the pas
 A path that ends in a run of equal heights pays that run in O(c) steps; (n,) * n costs O(n).
 The engines are reached through :func:`count`, which validates the path once and runs its
 kernel from ``_KERNELS``; the engine functions assume a validated path, so ``pathcount``
-does not export them.  All engines agree on every input; the test suite and the ``verify``
-CLI subcommand enforce this.  ``dp`` and ``recurrence`` refuse, through ``CapacityError``, a path
-whose longest column would pass ``MAX_COLUMN``; ``theorem`` refuses n over ``THEOREM_CAP``.
+does not export them, and none keeps code for a path ``count`` refuses.  All engines agree
+on every input; the test suite and the ``verify`` CLI subcommand enforce this, and the tests
+check ``dp`` and ``recurrence`` against plain one-pass sweeps.  Each engine guards its own
+cap: ``dp`` and ``recurrence`` refuse, through ``CapacityError``, a path whose longest column
+would pass ``MAX_COLUMN``, and ``theorem`` refuses n over ``THEOREM_CAP``.
 """
 
 from __future__ import annotations
@@ -45,14 +46,13 @@ from operator import mul
 from typing import Iterator
 
 from .exactmath import factorial
-from .paths import Diffs, Heights, Point, as_integers, delta, validate_diffs, validate_heights
+from .paths import Diffs, Heights, Point, _shown, as_integers, delta, validate_diffs, validate_heights
 
 __all__ = [
     "CapacityError",
     "ENGINES",
     "THEOREM_CAP",
     "count",
-    "dp_oracle",
     "enumerate_polytope",
     "enumerate_restricted",
     "macmahon_bruteforce",
@@ -154,36 +154,32 @@ def count_determinant(p: Heights) -> int:
     product b = binom(m, k) * pivot, m = p_i + 1, steps from its value at k - 1 by one small
     multiply and one exact division, (m + 1 - k) / k, so no step multiplies two big integers.
     k divides binom(m, k - 1) * (m + 1 - k), so the division is exact for any integer pivot,
-    zero or negative included; b reaches 0 at k = m + 1 and stays 0.  The minors need no pivot
-    search, and the expansion holds for any pivot value.  The band engines hold the same state:
+    zero or negative included.  The minors need no pivot search, and the expansion holds for
+    any pivot value.  The band engines hold the same state:
     after row i, ``row[0]`` is LP(p_1..p_(i+1)) and ``row[j - i]`` = M_i(j) is (-1)^(j - i) times
     ``triangular``'s ``pending[j]`` for every j > i, so their agreement checks index bookkeeping,
     not arithmetic.  These checks share none of it: ``det_int``'s Bareiss elimination, the ballot
     closed form and this determinant's residues modulo two 61-bit primes, all in
     ``tests/test_counting.py``, and ``verify det-identity``.
 
-    The row keeps a zero tail, ``row[live:]``.  Past both m and ``live`` the binomial and the
-    entry read are 0, so the step writes the 0 already there and is skipped; the tail then
-    starts at max(m, live - 1).  On a nondecreasing path ``live`` never passes m, so row i costs
-    min(n - i, p_i + 1) steps and the path O(n * min(n, max p)) big-integer operations, the
-    bound ``triangular`` has.  Only the tail is skipped, not a band, so the expansion stays
-    exact on heights in any order.  ``p`` is a height tuple :func:`count` has validated.
+    The row keeps a zero tail.  After a row of height m - 1 it starts at m, and on a
+    nondecreasing path the next row's m is no lower, so past k = m both binom(m, k) and the
+    entry the step reads are 0: row i stops at k = m, min(n - i, p_i + 1) steps, and the path
+    costs O(n * min(n, max p)) big-integer operations, the bound ``triangular`` has.  ``p`` is a
+    height tuple :func:`count` has validated; a lower height after a higher one would leave
+    nonzero minors past that row's stop.
     """
     row = [1] + [0] * len(p)  # M_(-1): the empty minor 1, then M_(-1)(j) = 0 for every column j
-    width, live = len(row), 1  # len(row); row[live:] is all zeros
+    width = len(row)
     for h in p:
         m, b = h + 1, row[0]  # b = binom(m, 0) * pivot
-        if live < m:  # live = max(m, live): no step past it changes an entry
-            live = m
-        # conditionals, not min() and max(): their calls made a 1-7 step path 75% slower;
+        # a conditional, not min(): min() and max() calls made a 1-7 step path 75% slower;
         # row[k] is read before row[k - 1] is set: the row moves down one
-        for k in range(1, live + 1 if live < width else width):
-            b = b * (m + 1 - k) // k  # binom(m, k) * pivot, exact; 0 from k = m + 1 on
+        for k in range(1, m + 1 if m < width else width):
+            b = b * (m + 1 - k) // k  # binom(m, k) * pivot, exact
             row[k - 1] = b - row[k]
         row.pop()  # the last entry, already moved down or in the zero tail
         width -= 1
-        if live > m:  # the tail moved down one with the row; it starts at max(m, live - 1)
-            live -= 1
     return row[0]
 
 
@@ -302,18 +298,15 @@ def _running_total(column: list[int], k: int) -> int:
     return sum(_running_sums(column, k))
 
 
-def dp_oracle(p: Heights) -> int:
+def count_dp(p: Heights) -> int:
     """Count nondecreasing q with q_i <= p_i by a direct column sweep.
 
     Keeps, per column, the number of admissible prefixes ending at each
     height 0..p_i.  The first column holds one prefix at each height; each
     later one is one running sum of the last: the prefixes that may end at
-    height h are those that ended at any height up to h.  A column taller
-    than the last holds the running total at every new height; a shorter one
-    keeps the first p_i + 1 running sums, which are the running sums of that
-    prefix.  So any tuple of integer bounds is accepted, nondecreasing or
-    not, and a negative one counts zero.  The terminal height is free
-    (anything up to p_n).
+    height h are those that ended at any height up to h.  A bound higher than
+    the last adds its new heights, each holding the running total.  The
+    terminal height is free (anything up to p_n).
 
     A bound equal to the last leaves the column's length alone, so a run of
     k such bounds only owes k running sums, which :func:`_running_sums` pays
@@ -322,12 +315,17 @@ def dp_oracle(p: Heights) -> int:
     never costs more than one pass per column, O(n * max p) additions, and a
     long run costs far less: (20,) * 100000 takes 21 products in place of
     2.1 million additions, and a rectangle (n,) * n takes n + 1, so O(n)
-    steps in place of O(n^2).  This is the reference implementation the
-    other engines are validated against.
+    steps in place of O(n^2).
+
+    ``p`` is a height tuple :func:`count` has validated, so no bound is lower
+    than the last.  The last column, of p_n + 1 entries, is the longest; over
+    ``MAX_COLUMN`` it is refused through ``CapacityError`` before it is built.
     """
+    if p and p[-1] >= MAX_COLUMN:
+        raise _column_refusal("dp", p[-1] + 1)
     bounds = iter(p)
     last = next(bounds, 0)
-    ending, owed = [1] * (last + 1), 0  # the first column, empty for a negative bound; no sum owed
+    ending, owed = [1] * (last + 1), 0  # the first column; no sum owed
     for bound in bounds:
         if bound == last:  # the column keeps its length: owe its running sum
             owed += 1
@@ -335,13 +333,9 @@ def dp_oracle(p: Heights) -> int:
         if owed:
             ending = _running_sums(ending, owed)
             owed = 0
-        last = bound
         ending = list(accumulate(ending))
-        gap = bound + 1 - len(ending)
-        if gap > 0:
-            ending += ending[-1:] * gap  # an emptied column (a negative bound) stays empty
-        elif gap < 0:
-            del ending[gap:]
+        ending += [ending[-1]] * (bound - last)
+        last = bound
     return _running_total(ending, owed) if owed else sum(ending)  # no call for tiny counts with no run
 
 
@@ -371,7 +365,7 @@ def enumerate_restricted(p: Heights) -> Iterator[Heights]:
 def _check_endpoint(n: int, m: int) -> tuple[int, int]:
     n, m = as_integers((n, m), "endpoint coordinate")
     if n < 0 or m < 0:
-        raise ValueError(f"endpoint ({n}, {m}) has a negative coordinate")
+        raise ValueError(f"endpoint ({_shown(n)}, {_shown(m)}) has a negative coordinate")
     return n, m
 
 
@@ -390,11 +384,11 @@ def macmahon_total(n: int, m: int) -> int:
 
 
 def macmahon_bruteforce(n: int, m: int) -> int:
-    """The same aggregate summed over every path, sharing :func:`dp_oracle`'s columns.
+    """The same aggregate summed over every path, sharing :func:`count_dp`'s columns.
 
     Paths from (0,0) to (n, m) are exactly the nondecreasing height tuples of
     length n bounded by m (the climb to height m after the last E is forced),
-    and for the same reason dp_oracle's free-terminal count already equals the
+    and for the same reason count_dp's free-terminal count already equals the
     fixed-endpoint count.  Paths with a common prefix share that prefix's
     columns, so one depth-first walk over the nondecreasing prefixes keeps one
     column per prefix: a child's is the running sum of its parent's, padded
@@ -416,19 +410,13 @@ def macmahon_bruteforce(n: int, m: int) -> int:
     return total
 
 
-def _dp_kernel(p: Heights) -> int:
-    if p and p[-1] >= MAX_COLUMN:  # its last column holds heights 0..p_n
-        raise _column_refusal("dp", p[-1] + 1)
-    return dp_oracle(p)
-
-
 # engine name -> kernel(heights); a kernel over its cap raises CapacityError
 _KERNELS = {
     "recurrence": lambda p: count_recurrence(delta(p)),
     "determinant": count_determinant,
     "triangular": count_triangular,
     "theorem": count_theorem,
-    "dp": _dp_kernel,
+    "dp": count_dp,
 }
 ENGINES = tuple(_KERNELS)
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 
+from .paths import _shown
+
 __all__ = [
     "binom",
     "catalan",
@@ -38,7 +40,7 @@ def binom(n: int, k: int) -> int:
     if k == 0:
         return 1
     if n < -1:
-        raise ValueError(f"binom({n}, {k}): n <= -2 with k >= 1 is outside the supported domain")
+        raise ValueError(f"binom({_shown(n)}, {_shown(k)}): n <= -2 with k >= 1 is outside the supported domain")
     return 0  # n == -1 and k >= 1
 
 
@@ -48,14 +50,14 @@ factorial = math.factorial
 def rising_factorial(a: int, m: int) -> int:
     """Product a (a+1) ... (a+m-1); the empty product 1 when m == 0."""
     if m < 0:
-        raise ValueError(f"rising factorial length {m} is negative")
+        raise ValueError(f"rising factorial length {_shown(m)} is negative")
     return math.prod(range(a, a + m))
 
 
 def catalan(n: int) -> int:
     """The n-th Catalan number binom(2n, n) / (n + 1), exactly."""
     if n < 0:
-        raise ValueError(f"Catalan index {n} is negative")
+        raise ValueError(f"Catalan index {_shown(n)} is negative")
     return math.comb(2 * n, n) // (n + 1)
 
 

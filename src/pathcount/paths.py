@@ -46,10 +46,14 @@ def _shown(value) -> str:
 
     A string is cut before it is quoted.  An int too long to show is cut before it is
     converted: floor division by 10**k drops only digits that are not shown, and its quotient
-    is short, so no huge int is converted whole and Python's digit limit is never met.
+    is short, so no huge int is converted whole and Python's digit limit is never met.  A tuple
+    shows its first entries, each as this shows it.
     """
     if type(value) is str:
         return repr(value) if len(value) <= SHOWN_CHARS else repr(value[:SHOWN_CHARS]) + "..."
+    if type(value) is tuple:
+        text = "(" + ", ".join(map(_shown, value[:SHOWN_CHARS])) + ("," if len(value) == 1 else "") + ")"
+        return text if len(text) <= SHOWN_CHARS else text[:SHOWN_CHARS] + "..."
     # 0.30102 < log10 2, so k is under the digit count of an int less SHOWN_CHARS
     k = (value.bit_length() - 1) * 30102 // 100000 - SHOWN_CHARS if type(value) is int else 0
     try:
@@ -148,7 +152,7 @@ def heights_to_word(p: Heights, m: int) -> Word:
     p, m = validate_heights(p), as_integer(m, "terminal height")
     top = p[-1] if p else 0
     if m < top:
-        raise ValueError(f"terminal height {m} is below the last height {top}")
+        raise ValueError(f"terminal height {_shown(m)} is below the last height {_shown(top)}")
     parts = []
     prev = 0
     for h in p:

@@ -50,18 +50,18 @@ def _check_terms(exps, coeffs, nvars: int) -> None:
     from fractions import Fraction
     for e in exps:
         if not isinstance(e, tuple):
-            raise ValueError(f"exponents {e!r} are not a tuple")
+            raise ValueError(f"exponents {_shown(e)} are not a tuple")
         if len(e) != nvars:
-            raise ValueError(f"exponent tuple {e} does not have {nvars} entries")
+            raise ValueError(f"exponent tuple {_shown(e)} does not have {_shown(nvars)} entries")
     # each check is one scan in C over the types present; a per-entry test costs more
     if not all(issubclass(kind, int) for kind in set(map(type, chain.from_iterable(exps)))):
         bad = next(e for e in exps if not all(isinstance(x, int) for x in e))
-        raise ValueError(f"exponent tuple {bad} has an entry that is not an int")
+        raise ValueError(f"exponent tuple {_shown(bad)} has an entry that is not an int")
     if min(chain.from_iterable(exps), default=0) < 0:
-        raise ValueError(f"exponent tuple {min(exps, key=min)} has a negative entry")
+        raise ValueError(f"exponent tuple {_shown(min(exps, key=min))} has a negative entry")
     if not all(issubclass(kind, (int, Fraction)) for kind in set(map(type, coeffs))):
         bad = next(c for c in coeffs if not isinstance(c, (int, Fraction)))
-        raise ValueError(f"coefficient {bad!r} is not an int or a Fraction")
+        raise ValueError(f"coefficient {_shown(bad)} is not an int or a Fraction")
 
 
 class RFTerm(NamedTuple):

@@ -15,10 +15,10 @@ from pathcount.counting import (
     ENGINES,
     count,
     count_determinant,
+    count_dp,
     count_recurrence,
     count_theorem,
     count_triangular,
-    dp_oracle,
     enumerate_polytope,
 )
 from pathcount.exactmath import binom, catalan
@@ -49,7 +49,7 @@ def test_c02_ballot_special_cases():
         for engine in ENGINES:
             assert count(p, engine) == catalan(n + 1), (n, engine)
     for n in range(13):
-        assert dp_oracle(tuple(range(n))) == catalan(n)
+        assert count_dp(tuple(range(n))) == catalan(n)
     print("[C02] PASS ballot cases: count(1..n) = C_{n+1} and staircase = C_n for n <= 12")
 
 
@@ -159,7 +159,7 @@ def test_c11_monomial_oracle():
             for h in p:
                 size *= h + 1
             if size <= 10**4:
-                assert monomial_oracle(p) == dp_oracle(p), p
+                assert monomial_oracle(p) == count_dp(p), p
                 checked += 1
     print(f"[C11] PASS monomial count equals the path count on {checked} paths (n <= 4, p_i <= 4)")
 

@@ -17,7 +17,7 @@ import pytest
 
 import pathcount
 from pathcount import cli, counting, exactmath, identities, paths, symbolic
-from pathcount.counting import ENGINES, dp_oracle
+from pathcount.counting import ENGINES, count_dp
 from pathcount.identities import CHECKS
 from pathcount.paths import parse_path_spec, sigma
 
@@ -59,6 +59,19 @@ def test_count_all_engines_agree(capsys):
     assert {line.split()[1] for line in lines} == {"14"}
 
 
+def test_count_all_engines_disagree(capsys, monkeypatch):
+    # one kernel off by one: every engine still writes its line, then the run fails
+    monkeypatch.setitem(counting._KERNELS, "dp", lambda p: 15)
+    want = {engine: "15" if engine == "dp" else "14" for engine in ENGINES}
+    code, out, err = run(capsys, "count", "h:1,2,3")
+    assert (code, err) == (1, "error: engines disagree\n")
+    assert out == "".join(f"{engine} {value}\n" for engine, value in want.items())
+    code, out, err = run(capsys, "count", "h:1,2,3", "--format", "json")
+    assert (code, err) == (1, "error: engines disagree\n")
+    records = [json.loads(line) for line in out.splitlines()]
+    assert records == [{"path": {"heights": [1, 2, 3]}, "engine": e, "count": v} for e, v in want.items()]
+
+
 def test_count_empty_path(capsys):
     code, out, _ = run(capsys, "count", "d:", "--engine", "dp")
     assert code == 0
@@ -66,7 +79,7 @@ def test_count_empty_path(capsys):
 
 
 def test_count_figure_path_golden(capsys):
-    # value pinned from dp_oracle (and confirmed by direct enumeration)
+    # value pinned from count_dp (and confirmed by direct enumeration)
     code, out, _ = run(capsys, "count", "w:EENENNEENENNEN")
     assert code == 0
     assert {line.split()[1] for line in out.splitlines()} == {"188"}
@@ -255,7 +268,7 @@ def test_enumerate_count_only_long_path(capsys):
     p = tuple(8 * i // 1200 for i in range(1200))
     code, out, _ = run(capsys, "enumerate", "h:" + ",".join(map(str, p)), "--count-only")
     assert code == 0
-    assert out == f"{dp_oracle(p)}\n"
+    assert out == f"{count_dp(p)}\n"
 
 
 def test_enumerate_long_single_point_path(capsys):

@@ -15,7 +15,7 @@ from math import prod
 import pytest
 
 import pathcount
-from pathcount.counting import CapacityError, count_recurrence, dp_oracle
+from pathcount.counting import CapacityError, count_dp, count_recurrence
 from pathcount.exactmath import catalan, factorial, rising_factorial
 from pathcount.identities import children
 from pathcount.paths import sigma
@@ -170,7 +170,7 @@ def test_evaluate_examples():
     for n in range(6):
         assert evaluate(symbolic_lp(n), (0,) * n) == 1
     v = (2, 0, 1)
-    assert dp_oracle(sigma(v)) == 16
+    assert count_dp(sigma(v)) == 16
     assert evaluate(symbolic_lp(3), v) == count_recurrence(v) == 16
 
 
