@@ -74,7 +74,7 @@ class CapacityError(Exception):
 
 def _column_refusal(engine: str, length: int) -> CapacityError:
     return CapacityError(
-        f"{engine} engine capacity exceeded: a column of {length} integers is over the cap {MAX_COLUMN}"
+        f"{engine} engine capacity exceeded: a column of {_shown(length)} integers is over the cap {MAX_COLUMN}"
     )
 
 
@@ -426,5 +426,5 @@ def count(p: Heights, engine: str) -> int:
     p = validate_heights(p)
     kernel = _KERNELS.get(engine)
     if kernel is None:
-        raise ValueError(f"unknown engine {engine!r}; expected one of: {', '.join(ENGINES)}")
+        raise ValueError(f"unknown engine {_shown(engine)}; expected one of: {', '.join(ENGINES)}")
     return kernel(p)

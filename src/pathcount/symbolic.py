@@ -71,11 +71,27 @@ class RFTerm(NamedTuple):
     exponents: tuple[int, ...]
 
 
-class RFPolynomial(NamedTuple("_RFFields", [("terms", "tuple[RFTerm, ...]"), ("nvars", int)])):
-    """Rising-factorial terms in lexicographic exponent order, all distinct and nonnegative."""
+class _Polynomial:
+    """What both polynomial records share; listed before their fields class, so its ``_make`` wins."""
 
     # no __slots__ = (): the instance dict holds the cached _form, which cannot
     # go stale because every field is immutable
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through here; keep the checks
+        return cls(*iterable)
+
+    def __getstate__(self):  # pickle and copy the fields only, never the cached form
+        return None
+
+    @cached_property
+    def _form(self):  # built on the first evaluate (or expand), over the terms in lexicographic order
+        exps, coeffs = list(zip(*term_items(self))) or ((), ())
+        return _integer_form(exps, coeffs)
+
+
+class RFPolynomial(_Polynomial, NamedTuple("_RFFields", [("terms", "tuple[RFTerm, ...]"), ("nvars", int)])):
+    """Rising-factorial terms in lexicographic exponent order, all distinct and nonnegative."""
 
     def __new__(cls, terms: tuple[RFTerm, ...], nvars: int):
         terms = tuple(terms)  # a list would be unhashable and could change under the cached form
@@ -85,20 +101,9 @@ class RFPolynomial(NamedTuple("_RFFields", [("terms", "tuple[RFTerm, ...]"), ("n
             raise ValueError("terms must be lexicographically sorted and distinct")
         return super().__new__(cls, terms, nvars)
 
-    @classmethod
-    def _make(cls, iterable):  # _replace builds through here; keep the checks
-        return cls(*iterable)
-
-    def __getstate__(self):  # pickle the fields only, never the cached form
-        return None
-
-    @cached_property
-    def _form(self):  # built on the first evaluate or expand
-        return _integer_form([t.exponents for t in self.terms], [t.coeff for t in self.terms])
-
 
 class MonomialPolynomial(
-    NamedTuple("_MonomialFields", [("coeffs", "Mapping[tuple[int, ...], Fraction]"), ("nvars", int)])
+    _Polynomial, NamedTuple("_MonomialFields", [("coeffs", "Mapping[tuple[int, ...], Fraction]"), ("nvars", int)])
 ):
     """Map from natural-order exponent tuples to nonzero rational coefficients.
 
@@ -109,24 +114,13 @@ class MonomialPolynomial(
     the same items.
     """
 
-    # no __slots__ = (): the instance dict holds the cached _form, as for RFPolynomial
-
     def __new__(cls, coeffs: Mapping[tuple[int, ...], Fraction], nvars: int):
         coeffs = MappingProxyType(dict(coeffs))
         _check_terms(coeffs, coeffs.values(), nvars)
         return super().__new__(cls, coeffs, nvars)
 
-    @classmethod
-    def _make(cls, iterable):  # _replace builds through here; keep the checks
-        return cls(*iterable)
-
     def __reduce__(self):  # a mapping proxy cannot be pickled: rebuild from a copy, without the form
         return type(self), (dict(self.coeffs), self.nvars)
-
-    @cached_property
-    def _form(self):  # built on the first evaluate, over the keys in lexicographic order
-        exps = sorted(self.coeffs)
-        return _integer_form(exps, list(map(self.coeffs.__getitem__, exps)))
 
 
 def _integer_form(
@@ -236,8 +230,8 @@ def evaluate(poly: RFPolynomial | MonomialPolynomial, v: Diffs) -> Fraction:
     the monomial one), and each parent takes the sum of its children; one
     division ends it.  The tree, the lcm, the scaled numerators and each
     level's exponent set are built once per polynomial and cached in its
-    ``_form``: for an ``RFPolynomial`` on its first evaluation or expansion,
-    for a ``MonomialPolynomial`` on its first evaluation, over its sorted keys.
+    ``_form``, from ``term_items`` (on an ``RFPolynomial``'s first evaluation
+    or expansion, on a ``MonomialPolynomial``'s first evaluation).
     These polynomials take integer values at integer points; a non-integer
     value raises ``ArithmeticError``.  Both bases refuse a negative exponent,
     or a tuple of the wrong length, when built.

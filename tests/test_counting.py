@@ -9,7 +9,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement, groupby, product
-from math import comb, prod
+from math import comb, gcd, prod
 from unittest import mock
 
 import pytest
@@ -676,9 +676,13 @@ def test_count_dispatch():
     for engine in ENGINES:
         assert count((), engine) == 1
     with pytest.raises(ValueError):
-        count((1,), "magic")
-    with pytest.raises(ValueError):
         count((2, 1), "dp")
+    # an unknown engine name is shown as the other refusals show a value, cut to 20 characters
+    expected = "; expected one of: recurrence, determinant, triangular, theorem, dp"
+    for name, shown in (("magic", "'magic'"), ("x" * 300, "'xxxxxxxxxxxxxxxxxxxx'...")):
+        with pytest.raises(ValueError) as refused:
+            count((), name)
+        assert str(refused.value) == f"unknown engine {shown}{expected}"
     # count checks the path before any engine sees it: no engine counts a decreasing or negative path
     for engine in ENGINES:
         with pytest.raises(ValueError, match=re.escape("heights must be nondecreasing (found 3 followed by 1)")):
@@ -739,6 +743,12 @@ def test_non_integer_heights_refused_by_every_engine():
 
 
 def test_column_guard(monkeypatch):
+    # a length past Python's 4 300-digit limit is shown cut, not formatted whole
+    cut = "a column of 10000000000000000000... integers is over the cap 10000000"
+    for p, engine in (((10**5000,), "dp"), ((10**5000,) * 2, "recurrence")):
+        with pytest.raises(CapacityError) as refused:
+            count(p, engine)
+        assert str(refused.value) == f"{engine} engine capacity exceeded: {cut}"
     # dp builds a column of p_n + 1 heights, recurrence one of p_(n-1) + 1
     monkeypatch.setattr(counting, "MAX_COLUMN", 5)
     assert count((1, 4), "dp") == dp_columns((1, 4))
@@ -753,8 +763,9 @@ def test_column_guard(monkeypatch):
     with pytest.raises(CapacityError) as through_count:
         count((5, 9), "recurrence")
     assert str(direct.value) == str(through_count.value)
-    for v in ((10**9, 1), (10**30, 1)):  # (10**30, 1) is past len(): refused, not overflowed
-        with pytest.raises(CapacityError, match=f"a column of {v[0] + 1} integers"):
+    # (10**30, 1) is past len(): refused, not overflowed, its length shown cut to 20 digits
+    for v, length in (((10**9, 1), "1000000001"), ((10**30, 1), "10000000000000000000...")):
+        with pytest.raises(CapacityError, match=re.escape(f"a column of {length} integers")):
             count_recurrence(v)
     assert count((10**9,), "recurrence") == 10**9 + 1  # one column, never built
     # count_dp guards its own column too: called directly it refuses (1, 5) alike
@@ -867,6 +878,57 @@ def test_engines_match_the_ballot_formula_at_size(engines, a, m, n, transposed):
     expected = ballot(a, m, n)
     for engine in engines:
         assert count(p, engine) == expected, engine
+
+
+def bizley(m, n, k):
+    """LP of the line of slope n / m, p_i = floor(n(i - 1) / m) for i = 1..km, by Bizley's formula.
+
+    For coprime m, n >= 1 the paths from (0, 0) to (km, kn) weakly below y = (n / m)x number G_k,
+    the coefficient of t^k in exp(sum_j F_j t^j) with F_j = binom(j(m + n), jm) / (j(m + n))
+    (Bizley 1954, J. Inst. Actuaries 80), so that i G_i = sum_(j <= i) j F_j G_(i - j).  A rational
+    slope gives runs of two lengths, which ``ballot`` misses; it shares no arithmetic with any engine.
+    """
+    f = [Fraction(comb(j * (m + n), j * m), j * (m + n)) for j in range(1, k + 1)]
+    g = [Fraction(1)]
+    for i in range(1, k + 1):
+        g.append(sum(j * f[j - 1] * g[i - j] for j in range(1, i + 1)) / i)
+    assert g[k].denominator == 1, (m, n, k)
+    return g[k].numerator
+
+
+def rational_line(m, n, k):
+    return tuple(n * i // m for i in range(k * m))
+
+
+def test_dp_matches_bizley_on_every_small_rational_line():
+    triples = [(m, n, k) for m, n, k in product(range(1, 7), range(1, 7), range(6)) if gcd(m, n) == 1]
+    assert len(triples) == 138
+    for m, n, k in triples:
+        assert count(rational_line(m, n, k), "dp") == bizley(m, n, k), (m, n, k)
+
+
+@pytest.mark.parametrize("engines, m, n, k", [
+    # tall lines of slope (10^20 + 1) / 3 and (10^13 + 3) / 7, N = 150 and 210: only the band engines count them
+    (("triangular", "determinant"), 3, 10**20 + 1, 50),
+    (("triangular", "determinant"), 7, 10**13 + 3, 30),
+    # long lines of small slope, N = 600 and 700
+    (("dp", "recurrence", "triangular"), 3, 5, 200),
+    (("dp", "recurrence", "triangular"), 7, 4, 100),
+], ids=["tall-150", "tall-210", "long-600", "long-700"])
+def test_engines_match_bizley_on_rational_lines_at_size(engines, m, n, k):
+    p = rational_line(m, n, k)
+    expected = bizley(m, n, k)
+    for engine in engines:
+        assert count(p, engine) == expected, engine
+
+
+# bounded by size: at most 48 heights of at most 48; theorem refuses a path over THEOREM_CAP
+@settings(deadline=None)
+@given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 6), st.sampled_from([e for e in ENGINES if e != "theorem"]))
+def test_engines_match_bizley_on_small_rational_lines(m, n, k, engine):
+    # with d = gcd(m, n), the line through (km, kn) is the one through (kd m', kd n'), m' and n' coprime
+    d = gcd(m, n)
+    assert count(rational_line(m, n, k), engine) == bizley(m // d, n // d, k * d)
 
 
 def test_cross_engine_under_optimize():

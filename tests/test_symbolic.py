@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import os
 import pickle
 import random
@@ -403,6 +404,17 @@ def test_monomial_polynomial_compares_replaces_and_pickles_as_before():
         copy = pickle.loads(pickle.dumps(mono, protocol))
         assert type(copy) is MonomialPolynomial and copy == mono and "_form" not in vars(copy)
         assert evaluate(copy, v) == evaluate(mono, v)
+
+
+def test_shallow_and_deep_copies_of_an_evaluated_polynomial_carry_no_form():
+    # copy goes through the same reduce hooks as pickle: the fields are copied, the cached form is not
+    points = {4: ((2, -1, 3, 0), (5, 0, 7, 1)), 3: ((4, 0, 2), (1, -3, 6))}
+    for poly in (symbolic_lp(4), expand(symbolic_lp(3))):
+        values = [evaluate(poly, v) for v in points[poly.nvars]]
+        assert "_form" in vars(poly)
+        for duplicate in (copy.copy(poly), copy.deepcopy(poly)):
+            assert type(duplicate) is type(poly) and duplicate == poly and "_form" not in vars(duplicate)
+            assert [evaluate(duplicate, v) for v in points[poly.nvars]] == values
 
 
 def test_serialize_matches_the_term_by_term_text():
