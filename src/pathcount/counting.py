@@ -424,7 +424,8 @@ ENGINES = tuple(_KERNELS)
 def count(p: Heights, engine: str) -> int:
     """Count paths restricted by ``p`` with the named engine."""
     p = validate_heights(p)
-    kernel = _KERNELS.get(engine)
-    if kernel is None:
-        raise ValueError(f"unknown engine {_shown(engine)}; expected one of: {', '.join(ENGINES)}")
+    try:
+        kernel = _KERNELS[engine]
+    except (KeyError, TypeError):  # TypeError: an unhashable name, such as a list
+        raise ValueError(f"unknown engine {_shown(engine)}; expected one of: {', '.join(ENGINES)}") from None
     return kernel(p)

@@ -260,7 +260,7 @@ def term_items(poly: RFPolynomial | MonomialPolynomial) -> list[tuple[tuple[int,
     """The ``(exponents, coeff)`` pairs of ``poly`` in lexicographic exponent order."""
     if isinstance(poly, RFPolynomial):
         return [(t.exponents, t.coeff) for t in poly.terms]
-    return sorted(poly.coeffs.items())
+    return sorted(poly.coeffs.items(), key=itemgetter(0))  # the keys are distinct: no coefficient is compared
 
 
 class _Text(dict):

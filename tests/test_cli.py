@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import glob
 import json
 import math
@@ -201,10 +202,7 @@ def test_count_all_skips_theorem_over_cap(capsys):
 def test_count_theorem_over_budget_exit_3_in_a_child():
     # C_901 points: the fixed cap refuses before any table is built
     spec = "h:" + ",".join(str(i) for i in range(1, 901))
-    proc = subprocess.run(
-        [sys.executable, "-m", "pathcount.cli", "count", spec, "--engine", "theorem"],
-        env=CHILD_ENV, capture_output=True, text=True, timeout=30,
-    )
+    proc = run_capped("count", spec, "--engine", "theorem")
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr == "error: theorem engine capacity exceeded: n = 900 is over the cap 14\n"
@@ -393,6 +391,21 @@ def test_package_exports_the_union_of_the_module_lists():
     for module in modules:
         for name in module.__all__:
             assert getattr(pathcount, name) is getattr(module, name), name
+
+
+def test_library_raises_and_never_asserts():
+    # python -O strips assert statements and sets __debug__ to False; with neither in the library,
+    # -O cannot change a count or a refusal, so no refusal needs its own -O child
+    paths = sorted(glob.glob(os.path.join(os.path.dirname(pathcount.__file__), "*.py")))
+    assert counting.__file__ in paths
+    found = []
+    for path in paths:
+        with open(path, encoding="utf-8") as f:
+            tree = ast.parse(f.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assert) or isinstance(node, ast.Name) and node.id == "__debug__":
+                found.append(f"{os.path.basename(path)}:{node.lineno}: {type(node).__name__}")
+    assert found == []
 
 
 def test_benchmark_uses_only_the_public_namespace():
@@ -700,7 +713,7 @@ def test_single_record_outputs_byte_exact(capsys, argv):
 
 
 def test_verify_all_under_optimize():
-    # a python -O child strips asserts; every suite in the registry must still run and pass
+    # the one end-to-end python -O child: every suite in the registry must still run and pass
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "pathcount.cli", "verify", "all", "--format", "json"],
         env=CHILD_ENV, capture_output=True, text=True, timeout=120,
