@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .paths import _shown
+from .paths import _shown, as_integer
 
 __all__ = [
     "binom",
@@ -48,14 +48,19 @@ factorial = math.factorial
 
 
 def rising_factorial(a: int, m: int) -> int:
-    """Product a (a+1) ... (a+m-1); the empty product 1 when m == 0."""
+    """Product a (a+1) ... (a+m-1); the empty product 1 when m == 0.
+
+    An argument that ``operator.index`` refuses, or a negative ``m``, raises ``ValueError``.
+    """
+    a, m = as_integer(a, "rising factorial base"), as_integer(m, "rising factorial length")
     if m < 0:
         raise ValueError(f"rising factorial length {_shown(m)} is negative")
     return math.prod(range(a, a + m))
 
 
 def catalan(n: int) -> int:
-    """The n-th Catalan number binom(2n, n) / (n + 1), exactly."""
+    """The n-th Catalan number binom(2n, n) / (n + 1), exactly; a non-integer or negative n raises ValueError."""
+    n = as_integer(n, "Catalan index")
     if n < 0:
         raise ValueError(f"Catalan index {_shown(n)} is negative")
     return math.comb(2 * n, n) // (n + 1)

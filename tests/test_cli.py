@@ -119,53 +119,6 @@ def test_count_over_int_str_digit_limit(capsys):
     assert json.loads(out_json)["count"] == want
 
 
-def test_count_parse_errors_exit_2(capsys):
-    # each bad spec, and the text its error must show to name the bad entry
-    named = {
-        "h:1,x": "'x'", "h:2,1": "found 2 followed by 1", "q:1": "'q:1'", "w:ENQ": "'Q'",
-        "h:-1": "height -1 is negative", "d:1,-1": "difference -1 is negative",
-        "h:1,,2": "h: entry 2 is not an integer: ''", "h:1.5": "'1.5'",
-    }
-    for bad, entry in named.items():
-        code, _, err = run(capsys, "count", bad)
-        assert code == 2
-        assert "error:" in err
-        assert entry in err, bad
-
-
-def test_count_refusal_shows_a_cut_of_a_huge_value(capsys):
-    # the validators' messages show a cut of the value, however many digits it has
-    nines = "9" * 30000
-    refused = {
-        "h:-" + nines: "height -9999999999999999999... is negative",
-        "h:" + nines + ",1": "found 99999999999999999999... followed by 1)",
-        "d:1,-" + nines: "difference -9999999999999999999... is negative",
-    }
-    for spec, message in refused.items():
-        code, out, err = run(capsys, "count", spec)
-        assert code == 2
-        assert out == ""
-        assert len(err.encode()) < 200
-        assert message in err, spec[:3]
-
-
-def test_count_parse_error_names_the_entry_not_the_spec(capsys):
-    # the message once echoed the whole spec: 60 060 bytes of stderr for this one
-    code, out, err = run(capsys, "count", "h:" + "1," * 30000 + "x")
-    assert code == 2
-    assert out == ""
-    assert len(err.encode()) < 200
-    assert "entry 30001 " in err
-    code, _, err = run(capsys, "count", "d:1," + "7" * 5000 + "z")
-    assert code == 2
-    assert "d: entry 2 is not an integer: '77777777777777777777'..." in err
-    assert len(err.encode()) < 200
-    code, _, err = run(capsys, "count", "q:" + "1," * 30000)
-    assert code == 2
-    assert "path spec 'q:1,1,1,1,1,1,1,1,1,'... must start with" in err
-    assert len(err.encode()) < 200
-
-
 def test_count_entry_over_the_digit_limit(capsys):
     # the CLI lifts the interpreter's digit limit, so a 5 000-digit height is counted, not refused
     code, out, err = run(capsys, "count", "h:" + "1" * 5000)
@@ -173,21 +126,6 @@ def test_count_entry_over_the_digit_limit(capsys):
     want = "1" * 4999 + "2"  # a single height h has h + 1 paths below it
     assert out == "".join(f"{engine} {want}\n" for engine in ENGINES if engine != "dp")
     assert err.startswith("note: dp engine skipped (a column of ")
-
-
-def test_count_theorem_cap_exit_3(capsys):
-    spec = "h:" + ",".join(str(i) for i in range(1, 16))
-    code, _, err = run(capsys, "count", spec, "--engine", "theorem")
-    assert code == 3
-    assert "cap" in err
-
-
-def test_count_theorem_deep_walk_exit_3(capsys):
-    spec = "h:" + ",".join(str(i) for i in range(1, 1201))
-    code, out, err = run(capsys, "count", spec, "--engine", "theorem")
-    assert code == 3
-    assert out == ""
-    assert err == "error: theorem engine capacity exceeded: n = 1200 is over the cap 14\n"
 
 
 def test_count_all_skips_theorem_over_cap(capsys):
@@ -206,13 +144,6 @@ def test_count_theorem_over_budget_exit_3_in_a_child():
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr == "error: theorem engine capacity exceeded: n = 900 is over the cap 14\n"
-
-
-def test_bench_subcommand_is_gone(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["bench"])
-    assert exc.value.code == 2
-    assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 def test_count_all_tall_path_bounded_memory():
@@ -310,30 +241,6 @@ def test_subcommand_option_inventory(capsys):
         for name, sp in sub.choices.items()
     }
     assert got == OPTIONS
-    argvs = (["count", "h:1"], ["enumerate", "h:1"], ["symbolic", "1"], ["verify", "eq3"],
-             ["probability", "h:1", "1", "1"])
-    assert [argv[0] for argv in argvs] == list(OPTIONS)
-    for argv in argvs:
-        with pytest.raises(SystemExit) as exc:
-            cli.main([*argv, "--theorem-cap", "3"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --theorem-cap 3" in capsys.readouterr().err
-
-
-def test_enumerate_and_probability_take_no_theorem_cap(capsys):
-    for argv in (["enumerate", "h:1"], ["probability", "h:1", "1", "1"]):
-        with pytest.raises(SystemExit) as exc:
-            cli.main([*argv, "--theorem-cap", "3"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --theorem-cap 3" in capsys.readouterr().err
-
-
-def test_negative_theorem_cap_exit_2(capsys):
-    # --theorem-cap is gone from count too: any value, negative included, is a usage error
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["count", "h:1,2,3", "--theorem-cap", "-5"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --theorem-cap -5" in capsys.readouterr().err
 
 
 def test_enumerate_closed_pipe_exits_quietly():
@@ -484,47 +391,14 @@ def test_symbolic_json(capsys):
     assert {"coeff": "1/2", "exponents": [0, 2]} in record["terms"]
 
 
-def test_symbolic_cap_exit_3(capsys, monkeypatch):
-    # refused before a single term is built
-    monkeypatch.setattr(symbolic, "enumerate_polytope", None)
-    for n in (13, 15):
-        code, out, err = run(capsys, "symbolic", str(n))
-        assert code == 3
-        assert out == ""
-        assert err == f"error: symbolic expansion capacity exceeded: n = {n} is over the cap 12\n"
-
-
 def test_symbolic_count_terms_builds_no_term(capsys, monkeypatch):
-    # the term count is the Catalan number C_{n+1}; no polytope point is enumerated
+    # the term count is the Catalan number C_{n+1}; no polytope point is enumerated,
+    # nor is one before a refusal over the cap
     monkeypatch.setattr(symbolic, "enumerate_polytope", None)
     code, out, _ = run(capsys, "symbolic", "12", "--count-terms")
     assert (code, out) == (0, "742900\n")
-    code, out, err = run(capsys, "symbolic", "13", "--count-terms")
-    assert (code, out) == (3, "")
-    assert err == "error: symbolic expansion capacity exceeded: n = 13 is over the cap 12\n"
-
-
-def test_symbolic_negative_n_exit_2(capsys):
-    for n, refusal in (("-1", "negative"), ("x", "'x' is not an integer"), ("1.5", "'1.5' is not an integer"),
-                       ("7" * 5000, "'" + "7" * 20 + "'... has too many digits")):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["symbolic", n])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert refusal in err
-        assert "nonnegative_int" not in err
-        assert len(err.splitlines()[-1]) < 200  # the usage lines above it do not grow with n
-
-
-def test_capacity_refusals_show_a_huge_number_cut(capsys):
-    # a 4 000-digit size parses, and is refused by the symbolic cap; a 60-step path with heights
-    # near 10^31 has a count of over a thousand digits, over the enumerate output cap
-    code, out, err = run(capsys, "symbolic", "7" * 4000)
-    assert (code, out) == (3, "")
-    assert err == "error: symbolic expansion capacity exceeded: n = " + "7" * 20 + "... is over the cap 12\n"
-    code, out, err = run(capsys, "enumerate", "h:" + ",".join(str(10**31 + i) for i in range(60)))
-    assert (code, out) == (3, "")
-    assert "paths is over the output cap" in err and len(err) < 200
+    for argv in (["13", "--count-terms"], ["13"], ["15"]):
+        assert run(capsys, "symbolic", *argv)[:2] == (3, "")
 
 
 def test_verify_single_suites(capsys):
@@ -538,13 +412,6 @@ def test_verify_children_suite(capsys):
     code, out, _ = run(capsys, "verify", "children")
     assert code == 0
     assert "pass" in out
-
-
-def test_verify_unknown_suite(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "bogus"])
-    assert exc.value.code == 2
-    assert "bogus" in capsys.readouterr().err
 
 
 def test_verify_help_lists_every_suite(capsys):
@@ -753,52 +620,6 @@ def test_probability_tall_path_bounded_memory():
     proc = run_capped("probability", "h:1000000000", "1", "1000000000")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "1\n"
-
-
-def test_probability_inconsistent_endpoint(capsys):
-    code, _, err = run(capsys, "probability", "h:0,1", "3", "2")
-    assert code == 2
-    assert "inconsistent" in err
-    code, _, _ = run(capsys, "probability", "h:0,5", "2", "2")
-    assert code == 2
-
-
-def test_probability_negative_endpoint_exit_2(capsys):
-    for n, m, refusal in (
-        ("-1", "2", "argument n: -1 is negative"),
-        ("1", "-2", "argument m: -2 is negative"),
-        ("x", "1", "argument n: 'x' is not an integer"),
-        ("1", "1.5", "argument m: '1.5' is not an integer"),
-        # past the interpreter's digit limit; the refusal shows 20 of its 5 000 digits
-        ("7" * 5000, "1", "argument n: '" + "7" * 20 + "'... has too many digits"),
-    ):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["probability", "h:0", n, m])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert refusal in err
-        assert len(err) < 200
-
-
-def test_refusals_cut_a_huge_path_endpoint_or_seed(capsys):
-    # the first three were echoed whole: 6 051, 352 and 5 229 bytes of stderr
-    for argv, refusal in (
-        (["probability", "h:" + ",".join(["0"] * 3000), "1", "0"], "path h:0,0,0,0,0,0,0,0,0,... is inconsistent"),
-        (["probability", "h:0", "2", "7" * 300], "inconsistent with endpoint (2, " + "7" * 20 + "...)"),
-        (["verify", "--seed", "7" * 5000], "argument --seed: '" + "7" * 20 + "'... has too many digits"),
-        (["verify", "--seed", "1.5"], "argument --seed: '1.5' is not an integer"),
-        # a literal int() refuses for its form, not its length, was said to have too many digits
-        (["verify", "--seed=--5"], "argument --seed: '--5' is not an integer"),
-        (["verify", "--seed", "1__2"], "argument --seed: '1__2' is not an integer"),
-    ):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
-        assert code == 2, argv[:2]
-        err = capsys.readouterr().err
-        assert refusal in err
-        assert len(err.splitlines()[-1]) < 200, argv[:2]
 
 
 def test_verify_seed_takes_a_negative_integer(capsys):

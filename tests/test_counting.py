@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-import re
 import sys
 from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement, groupby, product
@@ -29,9 +28,8 @@ from pathcount.counting import (
     macmahon_bruteforce,
     macmahon_total,
 )
-from pathcount.exactmath import binom, catalan, det_int, rising_factorial
-from pathcount.paths import delta, heights_to_word, in_polytope, is_restricted_by, sigma, validate_diffs
-from pathcount.symbolic import MonomialPolynomial, RFPolynomial, RFTerm
+from pathcount.exactmath import binom, catalan, det_int
+from pathcount.paths import delta, in_polytope, is_restricted_by, sigma
 
 
 def brute_restricted_count(p):
@@ -111,11 +109,6 @@ def test_enumerate_polytope_long_single_point():
     # one coordinate per step, no recursion: 5000 zeros give the one point
     assert list(enumerate_polytope((0,) * 5000)) == [(0,) * 5000]
     assert len(list(enumerate_polytope((0,) * 3000 + (2,)))) == 3
-
-
-def test_enumerate_polytope_rejects_negative_diffs():
-    with pytest.raises(ValueError, match="negative"):
-        list(enumerate_polytope((2, -1)))
 
 
 # --- individual engines ---------------------------------------------------
@@ -312,8 +305,6 @@ def test_theorem_examples():
 
 
 def test_theorem_cap():
-    with pytest.raises(CapacityError, match="14"):
-        count_theorem(tuple(range(1, 16)))
     with mock.patch.object(counting, "THEOREM_CAP", 3):
         with pytest.raises(CapacityError, match="n = 4 is over the cap 3"):
             count_theorem((1, 2, 3, 4))
@@ -673,49 +664,8 @@ def test_count_dispatch():
     assert count((2, 2, 2), "determinant") == 10
     for engine in ENGINES:
         assert count((), engine) == 1
-    with pytest.raises(ValueError):
-        count((2, 1), "dp")
-    # an unknown engine name is shown as the other refusals show a value, cut to 20 characters
-    expected = "; expected one of: recurrence, determinant, triangular, theorem, dp"
-    # a name that cannot be a dict key is refused the same way, not with Python's "unhashable type"
-    for name, shown in (("magic", "'magic'"), ("x" * 300, "'xxxxxxxxxxxxxxxxxxxx'..."), (["dp"], "['dp']"), ({}, "{}")):
-        with pytest.raises(ValueError) as refused:
-            count((1,), name)
-        assert str(refused.value) == f"unknown engine {shown}{expected}"
-    # count checks the path before any engine sees it: no engine counts a decreasing or negative path
-    for engine in ENGINES:
-        with pytest.raises(ValueError, match=re.escape("heights must be nondecreasing (found 3 followed by 1)")):
-            count((3, 1), engine)
-        with pytest.raises(ValueError, match="height -1 is negative"):
-            count((-1,), engine)
-
-
-def test_refusals_show_a_cut_of_a_huge_value():
-    # a value past Python's 4 300-digit limit cannot be formatted whole: doing so raises Python's
-    # own ValueError in place of the library's refusal
-    big = 10**5000
-    refused = (
-        (lambda: count((-(10**5000),), "dp"), "height -1000000000000000000... is negative"),
-        (lambda: count((10**5000, 1), "dp"), "found 10000000000000000000... followed by 1)"),
-        (lambda: validate_diffs((1, -(10**5000))), "difference -1000000000000000000... is negative"),
-        (lambda: count(("7" * 5000,), "dp"), "height '77777777777777777777'... is not an integer"),
-        (lambda: count((Fraction(10**5000, 3),), "dp"), "height Fraction(...) is not an integer"),
-        (lambda: heights_to_word((big,), 1), "terminal height 1 is below the last height 10000000000000000000..."),
-        (lambda: macmahon_total(-big, 1), "endpoint (-1000000000000000000..., 1) has a negative coordinate"),
-        (lambda: macmahon_bruteforce(1, -big), "endpoint (1, -1000000000000000000...) has a negative coordinate"),
-        (lambda: RFPolynomial((RFTerm(1, (-big,)),), 1), "exponent tuple (-100000000000000000... has a negative entry"),
-        (lambda: RFPolynomial((RFTerm(1, (big, 1)),), 1), "exponent tuple (1000000000000000000... does not have 1 entries"),
-        (lambda: MonomialPolynomial({(-big,): 1}, 1), "exponent tuple (-100000000000000000... has a negative entry"),
-        (lambda: RFPolynomial((RFTerm(1, [big]),), 1), "exponents list(...) are not a tuple"),
-        (lambda: RFPolynomial((RFTerm(1, (big, 0.5)),), 2), "exponent tuple (1000000000000000000... has an entry that is not an int"),
-        (lambda: rising_factorial(1, -big), "rising factorial length -1000000000000000000... is negative"),
-        (lambda: catalan(-big), "Catalan index -1000000000000000000... is negative"),
-        (lambda: binom(-big, 3), "binom(-1000000000000000000..., 3): n <= -2 with k >= 1 is outside the supported domain"),
-    )
-    for call, message in refused:
-        with pytest.raises(ValueError, match=re.escape(message)) as refusal:
-            call()
-        assert len(str(refusal.value)) < 100, message
+        # what operator.index accepts is counted as the int it stands for
+        assert count((True, 2), engine) == count((1, 2), engine) == 5
 
 
 def test_engine_kernels_are_not_exported():
@@ -727,45 +677,21 @@ def test_engine_kernels_are_not_exported():
     assert not engine_bodies & (set(pathcount.__all__) | set(vars(pathcount)))
 
 
-def test_non_integer_heights_refused_by_every_engine():
-    # a float path used to be counted by triangular (5.5 for (1.5, 2.0)) and
-    # to raise TypeError in the other engines
-    for bad, entry in (((1.5, 2.0), 1.5), ((1, 2.0), 2.0), ((Fraction(1), 2), Fraction(1)), (("1", 2), "1")):
-        for engine in ENGINES:
-            with pytest.raises(ValueError, match=re.escape(f"height {entry!r} is not an integer")):
-                count(bad, engine)
-    with pytest.raises(ValueError, match="difference 0.5 is not an integer"):
-        list(enumerate_polytope((0.5, 1)))
-    # what operator.index accepts is counted as the int it stands for
-    for engine in ENGINES:
-        assert count((True, 2), engine) == count((1, 2), engine) == 5
-
-
 def test_column_guard(monkeypatch):
-    # a length past Python's 4 300-digit limit is shown cut, not formatted whole
-    cut = "a column of 10000000000000000000... integers is over the cap 10000000"
-    for p, engine in (((10**5000,), "dp"), ((10**5000,) * 2, "recurrence")):
-        with pytest.raises(CapacityError) as refused:
-            count(p, engine)
-        assert str(refused.value) == f"{engine} engine capacity exceeded: {cut}"
     # dp builds a column of p_n + 1 heights, recurrence one of p_(n-1) + 1
     monkeypatch.setattr(counting, "MAX_COLUMN", 5)
     assert count((1, 4), "dp") == dp_columns((1, 4))
     assert count((4, 9), "recurrence") == dp_columns((4, 9))
-    with pytest.raises(CapacityError, match="dp engine capacity exceeded: a column of 6 "):
-        count((1, 5), "dp")
-    with pytest.raises(CapacityError, match="recurrence engine capacity exceeded: a column of 6 "):
-        count((5, 9), "recurrence")
+    for p, engine in (((1, 5), "dp"), ((5, 9), "recurrence")):
+        with pytest.raises(CapacityError) as refused:
+            count(p, engine)
+        assert str(refused.value) == f"{engine} engine capacity exceeded: a column of 6 integers is over the cap 5"
     # count_recurrence guards its own column: the difference vector of (5, 9) is refused alike
     with pytest.raises(CapacityError) as direct:
         count_recurrence((5, 4))
     with pytest.raises(CapacityError) as through_count:
         count((5, 9), "recurrence")
     assert str(direct.value) == str(through_count.value)
-    # (10**30, 1) is past len(): refused, not overflowed, its length shown cut to 20 digits
-    for v, length in (((10**9, 1), "1000000001"), ((10**30, 1), "10000000000000000000...")):
-        with pytest.raises(CapacityError, match=re.escape(f"a column of {length} integers")):
-            count_recurrence(v)
     assert count((10**9,), "recurrence") == 10**9 + 1  # one column, never built
     # count_dp guards its own column too: called directly it refuses (1, 5) alike
     with pytest.raises(CapacityError) as direct:
@@ -1108,16 +1034,6 @@ def test_enumerate_restricted_is_partial_summation_of_the_polytope_points():
     assert paths == sum(macmahon_total(n, 6) for n in range(7))
 
 
-def test_enumerate_restricted_refuses_heights_as_count_does():
-    stream = enumerate_restricted((3, 1))  # lazy: nothing is checked before the first path
-    with pytest.raises(ValueError, match=r"^heights must be nondecreasing \(found 3 followed by 1\)$"):
-        next(stream)
-    with pytest.raises(ValueError, match=r"^height 1\.5 is not an integer$"):
-        list(enumerate_restricted((1.5,)))
-    with pytest.raises(ValueError, match=r"^height -1 is negative$"):
-        list(enumerate_restricted((-1, 2)))
-
-
 # --- aggregates -------------------------------------------------------------
 
 
@@ -1126,16 +1042,6 @@ def test_macmahon_total_values():
     assert macmahon_total(2, 2) == 20
     for m in range(6):
         assert macmahon_total(0, m) == 1
-    with pytest.raises(ValueError):
-        macmahon_total(-1, 2)
-
-
-def test_macmahon_bruteforce_refuses_a_negative_endpoint():
-    # it used to return 0 for (2, -1) and 1 for (0, -3), and to fail inside itertools for (-1, 2)
-    for n, m in ((2, -1), (0, -3), (-1, 2)):
-        for aggregate in (macmahon_total, macmahon_bruteforce):
-            with pytest.raises(ValueError, match=re.escape(f"endpoint ({n}, {m}) has a negative coordinate")):
-                aggregate(n, m)
 
 
 def macmahon_pathwise(n, m):

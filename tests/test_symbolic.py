@@ -13,7 +13,7 @@ from math import prod
 import pytest
 
 import pathcount
-from pathcount.counting import CapacityError, count_dp, count_recurrence
+from pathcount.counting import count_dp, count_recurrence
 from pathcount.exactmath import catalan, factorial, rising_factorial
 from pathcount.identities import children
 from pathcount.paths import sigma
@@ -82,53 +82,12 @@ def test_coefficients_are_inverse_factorial_products():
             assert term.coeff == F(1, prod(factorial(e) for e in term.exponents))
 
 
-def test_symbolic_cap():
-    for n in (13, 15):
-        with pytest.raises(CapacityError, match=f"n = {n} is over the cap 12"):
-            symbolic_lp(n)
-    with pytest.raises(ValueError):
-        symbolic_lp(-1)
-    # past the interpreter's digit limit the refusal shows 20 digits, converting none of the rest
-    with pytest.raises(CapacityError, match=r"n = 1(0){19}\.\.\. is over the cap 12$"):
-        symbolic_lp(10**5000)
-    with pytest.raises(ValueError, match=r"variable count -1(0){18}\.\.\. is negative$"):
-        symbolic_lp(-(10**5000))
-
-
-def test_rfpolynomial_rejects_disorder():
-    t0 = RFTerm(F(1), (0,))
-    t1 = RFTerm(F(1), (1,))
-    with pytest.raises(ValueError):
-        RFPolynomial((t1, t0), 1)
-    with pytest.raises(ValueError):
-        RFPolynomial((t0, t0), 1)
-    with pytest.raises(ValueError):
-        RFPolynomial((RFTerm(F(1), (0, 0)),), 1)
-
-
-def test_monomial_polynomial_refuses_a_short_exponent_tuple():
-    # unchecked, evaluate zips every term down to the shortest tuple and returns 6
-    with pytest.raises(ValueError, match=re.escape("exponent tuple (1,) does not have 2 entries")):
-        evaluate(MonomialPolynomial({(1,): F(1), (1, 2): F(1)}, 2), (3, 5))
-
-
-def test_monomial_polynomial_refuses_a_long_exponent_tuple():
-    # unchecked, evaluate drops the third exponent and returns 3 * 5**2 = 75
-    with pytest.raises(ValueError, match=re.escape("exponent tuple (1, 2, 7) does not have 2 entries")):
-        evaluate(MonomialPolynomial({(1, 2, 7): F(1)}, 2), (3, 5))
-    mono = MonomialPolynomial({(1, 2): F(1)}, 2)
-    with pytest.raises(ValueError, match=re.escape("exponent tuple (1, 2) does not have 3 entries")):
-        mono._replace(nvars=3)
-
-
 def test_records_compare_by_value_and_are_immutable():
     rf, mono, kids = symbolic_lp(4), expand(symbolic_lp(3)), children((1, 2))
     assert (rf, mono, kids) == (symbolic_lp(4), expand(symbolic_lp(3)), children((1, 2)))
     for record, field in ((rf, "terms"), (rf.terms[0], "coeff"), (mono, "coeffs"), (kids, "children")):
         with pytest.raises(AttributeError):
             setattr(record, field, None)
-    with pytest.raises(ValueError):
-        rf._replace(terms=rf.terms[::-1])
 
 
 def test_expand_n1():
@@ -170,13 +129,6 @@ def test_evaluate_examples():
     v = (2, 0, 1)
     assert count_dp(sigma(v)) == 16
     assert evaluate(symbolic_lp(3), v) == count_recurrence(v) == 16
-
-
-def test_evaluate_length_mismatch():
-    with pytest.raises(ValueError):
-        evaluate(symbolic_lp(2), (1, 2, 3))
-    with pytest.raises(ValueError):
-        evaluate(expand(symbolic_lp(2)), (1,))
 
 
 def test_evaluate_matches_recurrence_exhaustive():
@@ -437,91 +389,25 @@ def test_symbolic_lp_shares_one_coefficient_per_value():
     assert len({id(c) for c in coeffs}) == len(distinct) == 20
 
 
-def test_evaluate_refuses_non_integer_entries():
+def test_evaluate_takes_every_integer_point_and_int_entries():
     for poly in (symbolic_lp(2), expand(symbolic_lp(2))):
-        with pytest.raises(ValueError, match="value 1.5 is not an integer"):
-            evaluate(poly, (1.5, 2))
-        with pytest.raises(ValueError, match=re.escape("value Fraction(1, 2) is not an integer")):
-            evaluate(poly, (1, F(1, 2)))
         # the polynomial is defined at every integer point
         # (1 + v1 + v1 (v1 + 1) / 2 + v2 + v1 v2 at v1 = -2, v2 = 3)
         assert evaluate(poly, (-2, 3)) == fraction_sum_evaluate(poly, (-2, 3)) == -3
         assert evaluate(poly, (True, 1)) == 5
-    # a coefficient of 1/2 makes a non-integer value, refused in both bases
-    for poly in (RFPolynomial((RFTerm(F(1, 2), (1,)),), 1), MonomialPolynomial({(1,): F(1, 2)}, 1)):
-        with pytest.raises(ArithmeticError, match="^count polynomial evaluated to the non-integer 1/2$"):
-            evaluate(poly, (1,))
+    # an int-subclass exponent counts as its int, and int coefficients work in both bases
+    assert evaluate(RFPolynomial((RFTerm(F(1), (True,)),), 1), (3,)) == 3
+    rf = RFPolynomial((RFTerm(2, (1,)),), 1)
+    assert evaluate(rf, (3,)) == 6
+    assert expand(rf).coeffs == {(1,): 2}
+    assert serialize(rf) == "2/1  1"
+    assert evaluate(MonomialPolynomial({(0,): 1, (2,): 3}, 1), (3,)) == 28
 
 
 def test_evaluate_table_holds_only_present_exponents():
     # a table sized by the largest exponent would take a million entries here
     assert evaluate(MonomialPolynomial({(10**6,): F(1)}, 1), (1,)) == 1
     assert evaluate(MonomialPolynomial({(0, 10**6): F(2), (3, 10**6 + 1): F(1)}, 2), (2, -1)) == -6
-
-
-def test_negative_exponents_are_refused():
-    # rising-factorial basis: refused where the polynomial is built, so evaluate and expand never see it
-    for exps in ((-1,), (0, -2), (3, 1, -1)):
-        with pytest.raises(ValueError, match=re.escape(f"exponent tuple {exps} has a negative entry")):
-            RFPolynomial((RFTerm(F(1), exps),), len(exps))
-    with pytest.raises(ValueError, match=re.escape("exponent tuple (-1,) has a negative entry")):
-        expand(RFPolynomial((RFTerm(F(1), (-1,)),), 1))
-    with pytest.raises(ValueError, match=re.escape("exponent tuple (-1,) has a negative entry")):
-        evaluate(RFPolynomial((RFTerm(F(1), (-1,)), RFTerm(F(1), (0,))), 1), (2,))
-    # monomial basis: refused by evaluate
-    with pytest.raises(ValueError, match=re.escape("exponent tuple (-1,) has a negative entry")):
-        evaluate(MonomialPolynomial({(-1,): F(1)}, 1), (2,))
-    with pytest.raises(ValueError, match=re.escape("exponent tuple (2, -3) has a negative entry")):
-        evaluate(MonomialPolynomial({(0, 0): F(1), (2, -3): F(5)}, 2), (2, 1))
-
-
-def test_exponents_that_are_not_tuples_of_ints_are_refused():
-    # a list exponent let the cached form go stale: after e[0] = 2 evaluate still returned 4, not 13
-    e = [1]
-    with pytest.raises(ValueError, match=re.escape("exponents [1] are not a tuple")):
-        RFPolynomial((RFTerm(F(1), (0,)), RFTerm(F(1), e)), 1)
-    # all lists, where the sort check passes, and a list first, where it would raise TypeError
-    with pytest.raises(ValueError, match=re.escape("exponents [0] are not a tuple")):
-        RFPolynomial((RFTerm(F(1), [0]), RFTerm(F(1), [1])), 1)
-    with pytest.raises(ValueError, match=re.escape("exponents [0] are not a tuple")):
-        RFPolynomial((RFTerm(F(1), [0]), RFTerm(F(1), (1,))), 1)
-    with pytest.raises(ValueError) as refused:
-        MonomialPolynomial({(1.0,): F(1)}, 1)
-    assert str(refused.value) == "exponent tuple (1.0,) has an entry that is not an int"
-    for bad in ((1.0,), (0, F(1, 2)), (0, "1")):
-        n = len(bad)
-        message = re.escape(f"exponent tuple {bad} has an entry that is not an int")
-        with pytest.raises(ValueError, match=message):
-            RFPolynomial((RFTerm(F(1), (0,) * n), RFTerm(F(1), bad)), n)
-        with pytest.raises(ValueError, match=message):
-            MonomialPolynomial({(0,) * n: F(1), bad: F(1)}, n)
-    mono = MonomialPolynomial({(1,): F(1)}, 1)
-    with pytest.raises(ValueError, match=re.escape("exponent tuple (2.5,) has an entry that is not an int")):
-        mono._replace(coeffs={(2.5,): F(1)})
-    # ints and their subclasses stay accepted
-    assert evaluate(RFPolynomial((RFTerm(F(1), (True,)),), 1), (3,)) == 3
-
-
-def test_coefficients_that_are_not_int_or_fraction_are_refused():
-    # a float used to reach evaluate and expand and raise AttributeError there
-    for bad in (0.5, 1.0, "1", 1j, None):
-        message = re.escape(f"coefficient {bad!r} is not an int or a Fraction")
-        with pytest.raises(ValueError, match=message):
-            RFPolynomial((RFTerm(F(1), (0,)), RFTerm(bad, (1,))), 1)
-        with pytest.raises(ValueError, match=message):
-            MonomialPolynomial({(0,): F(1), (1,): bad}, 1)
-    rf = RFPolynomial((RFTerm(F(1), (0,)),), 1)
-    for build in (lambda: rf._replace(terms=(RFTerm(0.5, (0,)),)), lambda: RFPolynomial((RFTerm(0.5, (1,)),), 1),
-                  lambda: MonomialPolynomial({(1,): 0.5}, 1)):
-        with pytest.raises(ValueError) as refused:
-            build()
-        assert str(refused.value) == "coefficient 0.5 is not an int or a Fraction"
-    # int coefficients keep working in both bases
-    rf = RFPolynomial((RFTerm(2, (1,)),), 1)
-    assert evaluate(rf, (3,)) == 6
-    assert expand(rf).coeffs == {(1,): 2}
-    assert serialize(rf) == "2/1  1"
-    assert evaluate(MonomialPolynomial({(0,): 1, (2,): 3}, 1), (3,)) == 28
 
 
 def test_serialize_golden_n2():
