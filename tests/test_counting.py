@@ -31,6 +31,8 @@ from pathcount.counting import (
 from pathcount.exactmath import binom, catalan, det_int
 from pathcount.paths import delta, in_polytope, is_restricted_by, sigma
 
+from test_refusals import check_refusals
+
 
 def brute_restricted_count(p):
     """Independent oracle: try every height tuple below p and keep the monotone ones."""
@@ -668,6 +670,14 @@ def test_count_dispatch():
         assert count((True, 2), engine) == count((1, 2), engine) == 5
 
 
+def test_refusals_show_a_cut_of_a_huge_value():
+    check_refusals(lambda call, message: "..." in message)
+
+
+def test_non_integer_heights_refused_by_every_engine():
+    check_refusals(lambda call, message: call.startswith("count(") and message.endswith("is not an integer"))
+
+
 def test_engine_kernels_are_not_exported():
     # the engines check no path; they are reached only through count, which does
     public = [getattr(pathcount, name) for name in pathcount.__all__]
@@ -1034,7 +1044,15 @@ def test_enumerate_restricted_is_partial_summation_of_the_polytope_points():
     assert paths == sum(macmahon_total(n, 6) for n in range(7))
 
 
+def test_enumerate_restricted_refuses_heights_as_count_does():
+    check_refusals(lambda call, message: "enumerate_restricted" in call)
+
+
 # --- aggregates -------------------------------------------------------------
+
+
+def test_macmahon_bruteforce_refuses_a_negative_endpoint():
+    check_refusals(lambda call, message: message.endswith("has a negative coordinate"))
 
 
 def test_macmahon_total_values():

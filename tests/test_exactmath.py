@@ -17,6 +17,8 @@ from pathcount.exactmath import (
     rising_factorial,
 )
 
+from test_refusals import check_refusals
+
 
 def det_cofactor(a):
     """Independent oracle: cofactor expansion along the first row."""
@@ -163,6 +165,10 @@ def test_det_zero_column_and_singular():
     assert det_int([[0, 1], [0, 5]]) == 0
     assert det_int([[1, 2], [2, 4]]) == 0
     assert det_int([[0, 0, 0], [1, 2, 3], [4, 5, 6]]) == 0
+
+
+def test_det_needs_square():
+    check_refusals(lambda call, message: call.startswith("det_int"))
 
 
 def test_det_requires_pivot_swap():

@@ -23,6 +23,8 @@ from pathcount.paths import (
     word_to_heights,
 )
 
+from test_refusals import check_refusals
+
 heights_st = st.lists(st.integers(min_value=0, max_value=60), max_size=25).map(
     lambda xs: tuple(sorted(xs))
 )
@@ -95,6 +97,10 @@ def test_restriction_matches_polytope_membership():
             assert is_restricted_by(q, p) == in_polytope(delta(q), delta(p))
 
 
+def test_heights_to_word_rejects_low_terminal():
+    check_refusals(lambda call, message: message.startswith("terminal height") and "below" in message)
+
+
 def test_restriction_is_partial_order():
     paths = [
         tuple(q)
@@ -116,6 +122,10 @@ def test_validate_heights():
     assert validate_heights([0, 1, 1]) == (0, 1, 1)
 
 
+def test_validate_refuses_what_operator_index_refuses():
+    check_refusals(lambda call, message: call.startswith(("validate_heights", "validate_diffs")))
+
+
 def test_integer_arguments_take_what_operator_index_accepts():
     # each is used as the plain int it stands for, never stored as a bool, then faces the usual checks
     assert validate_heights((False, True, True)) == (0, 1, 1)
@@ -135,6 +145,11 @@ def test_parse_path_spec_forms():
     assert parse_path_spec("w:") == ()
     # int() reads each entry: surrounding whitespace, a sign and digit-group underscores pass
     assert parse_path_spec("h: 1_2 ,+13") == (12, 13)
+
+
+@pytest.mark.parametrize("bad", ["h:1,x", "h:2,1", "h:-1", "d:1,-2", "w:ENQ", "1,2,3", "x:1"])
+def test_parse_path_spec_rejects(bad):
+    check_refusals(lambda call, message: call == f"parse_path_spec({bad!r})")
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit")

@@ -5,7 +5,8 @@ exception type it raises (not a subclass) and the exception's full message.  Eac
 ``CLI_REFUSALS`` is an argv for ``cli.main``, the exit code and the last line of stderr: whole
 where pathcount words that line, a fragment where argparse does.  A refusal checked only under a
 patched cap, in a capped child process or under a lowered interpreter digit limit is tested
-where that setting is made.
+where that setting is made.  A library test elsewhere that is named after what several rows
+share runs those rows through ``check_refusals``; it states no row of its own.
 """
 
 from __future__ import annotations
@@ -203,6 +204,14 @@ def test_library_refusal(call, kind, message):
         eval(call, NAMESPACE)
     assert type(refused.value) is kind
     assert str(refused.value) == message
+
+
+def check_refusals(where):
+    """Check every row whose call and message satisfy ``where``, for a test named after what they share."""
+    rows = [row for row in LIBRARY_REFUSALS if where(row[0], row[2])]
+    assert rows, "no row is selected"
+    for row in rows:
+        test_library_refusal(*row)
 
 
 THEOREM_OVER_CAP = "error: theorem engine capacity exceeded: n = {} is over the cap 14"

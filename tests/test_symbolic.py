@@ -29,6 +29,8 @@ from pathcount.symbolic import (
     term_items,
 )
 
+from test_refusals import NOT_SORTED, check_refusals
+
 F = Fraction
 
 GOLDEN_N1 = {((0,), F(1)), ((1,), F(1))}
@@ -82,6 +84,18 @@ def test_coefficients_are_inverse_factorial_products():
             assert term.coeff == F(1, prod(factorial(e) for e in term.exponents))
 
 
+def test_symbolic_cap():
+    check_refusals(lambda call, message: message.startswith(("symbolic expansion", "variable count -")))
+
+
+def test_rfpolynomial_rejects_disorder():
+    check_refusals(lambda call, message: message == NOT_SORTED or message.endswith("does not have 1 entries"))
+
+
+def test_monomial_polynomial_refuses_a_long_exponent_tuple():
+    check_refusals(lambda call, message: "(1, 2, 7)" in call or "nvars=3" in call)
+
+
 def test_records_compare_by_value_and_are_immutable():
     rf, mono, kids = symbolic_lp(4), expand(symbolic_lp(3)), children((1, 2))
     assert (rf, mono, kids) == (symbolic_lp(4), expand(symbolic_lp(3)), children((1, 2)))
@@ -129,6 +143,10 @@ def test_evaluate_examples():
     v = (2, 0, 1)
     assert count_dp(sigma(v)) == 16
     assert evaluate(symbolic_lp(3), v) == count_recurrence(v) == 16
+
+
+def test_evaluate_length_mismatch():
+    check_refusals(lambda call, message: message.startswith("expected "))
 
 
 def test_evaluate_matches_recurrence_exhaustive():
@@ -387,6 +405,22 @@ def test_symbolic_lp_shares_one_coefficient_per_value():
     coeffs = [t.coeff for t in symbolic_lp(8).terms]
     distinct = set(coeffs)
     assert len({id(c) for c in coeffs}) == len(distinct) == 20
+
+
+def test_evaluate_refuses_non_integer_entries():
+    check_refusals(lambda call, message: message.startswith(("value ", "count polynomial evaluated")))
+
+
+def test_negative_exponents_are_refused():
+    check_refusals(lambda call, message: message.endswith("has a negative entry"))
+
+
+def test_exponents_that_are_not_tuples_of_ints_are_refused():
+    check_refusals(lambda call, message: message.endswith(("are not a tuple", "has an entry that is not an int")))
+
+
+def test_coefficients_that_are_not_int_or_fraction_are_refused():
+    check_refusals(lambda call, message: message.endswith("is not an int or a Fraction"))
 
 
 def test_evaluate_takes_every_integer_point_and_int_entries():
