@@ -2,7 +2,8 @@
 
 Subcommands: count, enumerate, symbolic, verify, probability.
 Exit codes: 0 success, 1 failed check, engine disagreement or a write to a closed
-stdout, 2 usage or parse error, 3 capacity exceeded.
+stdout, 2 a refusal by argparse or a ``ValueError`` from the library (an unparsable
+path spec, or an endpoint that does not fit the path), 3 capacity exceeded.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 from .counting import ENGINES, CapacityError, count, enumerate_restricted
 from .exactmath import binom, catalan
 from .identities import CHECKS
-from .paths import SHOWN_CHARS, Heights, _int_refusal, _shown, format_heights, parse_path_spec
+from .paths import SHOWN_CHARS, _int_refusal, _shown, format_heights, parse_path_spec
 from .symbolic import check_nvars, expand, serialize, symbolic_lp, term_items
 
 EXIT_OK = 0
@@ -23,17 +24,6 @@ EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 
 ENUMERATE_CAP = 100_000
-
-
-class UsageError(Exception):
-    """Input the parser cannot refuse: an unparsable path spec, or an endpoint that does not fit the path."""
-
-
-def _parse_path(spec: str) -> Heights:
-    try:
-        return parse_path_spec(spec)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
 
 
 def integer(text: str) -> int:
@@ -71,7 +61,7 @@ def _refusal(exc: CapacityError) -> str:
 
 
 def cmd_count(args) -> int:
-    p = _parse_path(args.path)
+    p = parse_path_spec(args.path)
     engines = ENGINES if args.engine == "all" else (args.engine,)
     path, values = {"heights": list(p)}, set()
     for engine in engines:  # each line is written as its count returns
@@ -93,7 +83,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    p = _parse_path(args.path)
+    p = parse_path_spec(args.path)
     total = count(p, "triangular")
     if args.count_only:
         text = str(total)
@@ -146,14 +136,14 @@ def cmd_verify(args) -> int:
 
 def cmd_probability(args) -> int:
     from fractions import Fraction
-    p = _parse_path(args.path)
+    p = parse_path_spec(args.path)
     n, m = args.n, args.m
     if len(p) != n or (p and p[-1] > m):
         # more than SHOWN_CHARS heights never fit in SHOWN_CHARS characters, so only those are formatted
         shown = format_heights(p[:SHOWN_CHARS])
         if len(shown) > SHOWN_CHARS:
             shown = shown[:SHOWN_CHARS] + "..."
-        raise UsageError(f"path {shown} is inconsistent with endpoint ({_shown(n)}, {_shown(m)})")
+        raise ValueError(f"path {shown} is inconsistent with endpoint ({_shown(n)}, {_shown(m)})")
     favorable, total = count(p, "triangular"), binom(n + m, n)
     ratio = str(Fraction(favorable, total))  # "a/b", or "a" when b is 1
     _emit(args, {
@@ -219,7 +209,7 @@ def main(argv=None) -> int:
         # again (the SIGPIPE note in the documentation of Python's signal module)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_FAILED
-    except UsageError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CapacityError as exc:

@@ -372,15 +372,13 @@ def _check_endpoint(n: int, m: int) -> tuple[int, int]:
 def macmahon_total(n: int, m: int) -> int:
     """Closed form for the sum of LP(p) over all paths p from (0,0) to (n,m):
 
-    (m+n)! (m+n+1)! / (m! n! (m+1)! (n+1)!), always an integer.
+    (m+n)! (m+n+1)! / (m! n! (m+1)! (n+1)!), always an integer: it equals
+    C(m+n, n)^2 - C(m+n, n+1) C(m+n, n-1), as both are C(m+n, n)^2 (m+n+1) / ((m+1)(n+1)).
     """
     n, m = _check_endpoint(n, m)
     num = factorial(m + n) * factorial(m + n + 1)
     den = factorial(m) * factorial(n) * factorial(m + 1) * factorial(n + 1)
-    total, rest = divmod(num, den)
-    if rest:
-        raise ArithmeticError(f"MacMahon quotient for ({n}, {m}) is not an integer")
-    return total
+    return num // den
 
 
 def macmahon_bruteforce(n: int, m: int) -> int:

@@ -23,7 +23,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .counting import CapacityError, enumerate_polytope
-from .exactmath import catalan, factorial, rising_factorial
+from .exactmath import factorial, rising_factorial
 from .paths import Diffs, _shown, as_integer, as_integers
 
 # largest n that symbolic_lp expands: C_13 = 742 900 stored terms, about 300 MB
@@ -95,8 +95,12 @@ class RFPolynomial(_Polynomial, NamedTuple("_RFFields", [("terms", "tuple[RFTerm
 
     def __new__(cls, terms: tuple[RFTerm, ...], nvars: int):
         terms = tuple(terms)  # a list would be unhashable and could change under the cached form
-        exps = [t.exponents for t in terms]
-        _check_terms(exps, [t.coeff for t in terms], nvars)
+        try:  # no scan for the types on the way: only a refusal pays for finding the bad term
+            exps, coeffs = [t.exponents for t in terms], [t.coeff for t in terms]
+        except AttributeError:
+            bad = next(t for t in terms if not (hasattr(t, "exponents") and hasattr(t, "coeff")))
+            raise ValueError(f"term {_shown(bad)} is not an RFTerm") from None
+        _check_terms(exps, coeffs, nvars)
         if not all(map(lt, exps, exps[1:])):
             raise ValueError("terms must be lexicographically sorted and distinct")
         return super().__new__(cls, terms, nvars)
@@ -177,8 +181,6 @@ def symbolic_lp(n: int) -> RFPolynomial:
         if den not in shared:
             shared[den] = Fraction(1, den)
         terms.append(RFTerm(shared[den], x))
-    if len(terms) != catalan(n + 1):
-        raise RuntimeError(f"{len(terms)} terms for n = {n}, expected the Catalan number C_{n + 1}")
     return RFPolynomial(tuple(terms), n)
 
 
@@ -201,6 +203,8 @@ def expand(rf: RFPolynomial) -> MonomialPolynomial:
     lcm of the denominators, one ``Fraction`` per monomial at the end.
     """
     from fractions import Fraction
+    if not isinstance(rf, RFPolynomial):
+        raise ValueError(f"polynomial {_shown(rf)} is not an RFPolynomial")
     _, common, numerators, present = rf._form
     # the degrees and the coefficients of the nonzero entries of _rf_coeffs(m), for each exponent m present
     nonzero = {}
@@ -238,12 +242,14 @@ def evaluate(poly: RFPolynomial | MonomialPolynomial, v: Diffs) -> Fraction:
     """
     from fractions import Fraction
     v = as_integers(v, "value")
-    if len(v) != poly.nvars:
-        raise ValueError(f"expected {poly.nvars} values, got {len(v)}")
     if isinstance(poly, RFPolynomial):
         bases, power = v[::-1], rising_factorial
-    else:
+    elif isinstance(poly, MonomialPolynomial):
         bases, power = v, pow
+    else:
+        raise ValueError(f"polynomial {_shown(poly)} is not an RFPolynomial or a MonomialPolynomial")
+    if len(v) != poly.nvars:
+        raise ValueError(f"expected {poly.nvars} values, got {len(v)}")
     levels, common, values, present = poly._form
     # Horner's rule on the prefix tree: each node multiplies in its factor, each parent sums its children
     for (col, exponents, slices), distinct in zip(levels, present):
@@ -260,7 +266,9 @@ def term_items(poly: RFPolynomial | MonomialPolynomial) -> list[tuple[tuple[int,
     """The ``(exponents, coeff)`` pairs of ``poly`` in lexicographic exponent order."""
     if isinstance(poly, RFPolynomial):
         return [(t.exponents, t.coeff) for t in poly.terms]
-    return sorted(poly.coeffs.items(), key=itemgetter(0))  # the keys are distinct: no coefficient is compared
+    if isinstance(poly, MonomialPolynomial):
+        return sorted(poly.coeffs.items(), key=itemgetter(0))  # the keys are distinct: no coefficient is compared
+    raise ValueError(f"polynomial {_shown(poly)} is not an RFPolynomial or a MonomialPolynomial")
 
 
 class _Text(dict):

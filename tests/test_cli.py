@@ -15,6 +15,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import pathcount
 from pathcount import cli, counting, exactmath, identities, paths, symbolic
@@ -126,6 +127,50 @@ def test_count_entry_over_the_digit_limit(capsys):
     want = "1" * 4999 + "2"  # a single height h has h + 1 paths below it
     assert out == "".join(f"{engine} {want}\n" for engine in ENGINES if engine != "dp")
     assert err.startswith("note: dp engine skipped (a column of ")
+
+
+# a long entry: 8 or more repeated digits, so anything but zeros is over dp's column cap of 10**7
+_long_entry_st = st.builds(str.__mul__, st.sampled_from("0179"), st.integers(8, 5000))
+# a path-spec entry: a sign, spaces, and digits with underscores, an empty or stray text, or
+# now and then a long entry
+_entry_st = st.tuples(
+    st.sampled_from(["", "+", "-"]),
+    st.sampled_from(["", " "]),
+    st.one_of(
+        st.integers(0, 40).map(str),
+        st.integers(1000, 20_000).map("{:_}".format),
+        st.text("0123456789_ x", max_size=4),
+        _long_entry_st,
+    ),
+    st.sampled_from(["", " "]),
+).map("".join)
+_spec_st = st.one_of(
+    st.tuples(st.sampled_from(["h:", "d:", "q:"]), st.lists(_entry_st, max_size=6).map(",".join)).map("".join),
+    st.tuples(st.sampled_from(["h:", "d:"]), _long_entry_st).map("".join),
+    st.text("EN", max_size=12).map("w:".__add__),
+    st.text("EN x", max_size=8).map("w:".__add__),
+)
+
+
+# run() drains capsys on every call, so one capture can serve every example
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_spec_st)
+def test_count_path_spec_answers_or_refuses_in_one_line(capsys, spec):
+    code, out, err = run(capsys, "count", spec, "--engine", "dp")
+    assert code in (0, 2, 3)
+    if code:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        return
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:  # an entry of 5 000 digits may still be a small number, such as 0...07
+        sys.set_int_max_str_digits(0)
+    try:
+        want = str(counting.count(parse_path_spec(spec), "triangular"))
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    assert (out, err) == (want + "\n", "")
 
 
 def test_count_all_skips_theorem_over_cap(capsys):

@@ -184,6 +184,13 @@ LIBRARY_REFUSALS = [
     *((f"evaluate({poly}, {v})", ValueError, message) for poly in ("symbolic_lp(2)", "expand(symbolic_lp(2))")
       for v, message in (("(1.5, 2)", "value 1.5 is not an integer"),
                          ("(1, F(1, 2))", "value Fraction(1, 2) is not an integer"))),
+    # what is not a polynomial, or not a term, is refused by name rather than met as a missing attribute
+    ("evaluate(None, (1,))", ValueError, "polynomial None is not an RFPolynomial or a MonomialPolynomial"),
+    ("serialize(None)", ValueError, "polynomial None is not an RFPolynomial or a MonomialPolynomial"),
+    ("expand(None)", ValueError, "polynomial None is not an RFPolynomial"),
+    ("expand(MonomialPolynomial({(1,): 1}, 1))", ValueError,
+     "polynomial MonomialPolynomial(c... is not an RFPolynomial"),
+    ("RFPolynomial('3', 1)", ValueError, "term '3' is not an RFTerm"),
     ("evaluate(symbolic_lp(2), (1, 2, 3))", ValueError, "expected 2 values, got 3"),
     ("evaluate(expand(symbolic_lp(2)), (1,))", ValueError, "expected 2 values, got 1"),
     # a coefficient of 1/2 makes a non-integer value, refused in both bases
