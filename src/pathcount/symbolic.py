@@ -40,14 +40,24 @@ __all__ = [
 ]
 
 
-def _check_terms(exps, coeffs, nvars: int) -> None:
-    """Refuse terms a polynomial cannot hold.
+def _variable_count(n) -> int:
+    """Return ``n`` as an int, refusing a value that is not a nonnegative integer."""
+    n = as_integer(n, "variable count")
+    if n < 0:
+        raise ValueError(f"variable count {_shown(n)} is negative")
+    return n
 
-    Every exponent tuple must be a ``tuple`` of ``nvars`` nonnegative ints
-    (a list could change under the cached form), and every coefficient an
-    ``int`` or a ``Fraction``.
+
+def _check_terms(exps, coeffs, nvars: int) -> int:
+    """Refuse terms a polynomial cannot hold; return ``nvars`` as an int.
+
+    ``nvars`` must be a nonnegative integer, with no cap: a record built by hand
+    may hold more variables than ``symbolic_lp`` expands.  Every exponent tuple
+    must be a ``tuple`` of ``nvars`` nonnegative ints (a list could change under
+    the cached form), and every coefficient an ``int`` or a ``Fraction``.
     """
     from fractions import Fraction
+    nvars = _variable_count(nvars)
     for e in exps:
         if not isinstance(e, tuple):
             raise ValueError(f"exponents {_shown(e)} are not a tuple")
@@ -62,6 +72,7 @@ def _check_terms(exps, coeffs, nvars: int) -> None:
     if not all(issubclass(kind, (int, Fraction)) for kind in set(map(type, coeffs))):
         bad = next(c for c in coeffs if not isinstance(c, (int, Fraction)))
         raise ValueError(f"coefficient {_shown(bad)} is not an int or a Fraction")
+    return nvars
 
 
 class RFTerm(NamedTuple):
@@ -100,7 +111,7 @@ class RFPolynomial(_Polynomial, NamedTuple("_RFFields", [("terms", "tuple[RFTerm
         except AttributeError:
             bad = next(t for t in terms if not (hasattr(t, "exponents") and hasattr(t, "coeff")))
             raise ValueError(f"term {_shown(bad)} is not an RFTerm") from None
-        _check_terms(exps, coeffs, nvars)
+        nvars = _check_terms(exps, coeffs, nvars)
         if not all(map(lt, exps, exps[1:])):
             raise ValueError("terms must be lexicographically sorted and distinct")
         return super().__new__(cls, terms, nvars)
@@ -120,7 +131,7 @@ class MonomialPolynomial(
 
     def __new__(cls, coeffs: Mapping[tuple[int, ...], Fraction], nvars: int):
         coeffs = MappingProxyType(dict(coeffs))
-        _check_terms(coeffs, coeffs.values(), nvars)
+        nvars = _check_terms(coeffs, coeffs.values(), nvars)
         return super().__new__(cls, coeffs, nvars)
 
     def __reduce__(self):  # a mapping proxy cannot be pickled: rebuild from a copy, without the form
@@ -157,9 +168,7 @@ def _integer_form(
 
 def check_nvars(n: int) -> int:
     """Return ``n`` as an int, refusing a variable count ``symbolic_lp`` would not expand."""
-    n = as_integer(n, "variable count")
-    if n < 0:
-        raise ValueError(f"variable count {_shown(n)} is negative")
+    n = _variable_count(n)
     if n > SYMBOLIC_CAP:
         raise CapacityError(f"symbolic expansion capacity exceeded: n = {_shown(n)} is over the cap {SYMBOLIC_CAP}")
     return n

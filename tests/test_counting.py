@@ -197,6 +197,21 @@ def test_triangular_long_low_paths():
     assert count_triangular((0,) * 5000) == 1
 
 
+def test_triangular_mirrored_rows_match_dp():
+    # row r of a rectangle (h,) * n runs to last = min(h, n - 1 - r), so these take m = h + 1 odd
+    # and even through every last from 0 to h: m - 1 and m - 2 (the mirrors of t_r(-1) and t_r(0)),
+    # ceil(m / 2), the values between, where lo = m - 2 - last > 1, and 15 and 16 around the guard
+    for h in range(14, 41):
+        for n in range(1, 46):
+            p = (h,) * n
+            assert count(p, "triangular") == count(p, "dp"), p
+    rng = random.Random(35)
+    for _ in range(60):
+        top = rng.randint(16, 300)
+        p = tuple(sorted(rng.randint(0, top) for _ in range(rng.randint(17, 200))))
+        assert count(p, "triangular") == count(p, "dp"), p
+
+
 def test_triangular_short_tall_paths():
     rng = random.Random(40)
     for top in (10**6, 10**18, 10**30):

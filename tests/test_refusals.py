@@ -136,6 +136,11 @@ LIBRARY_REFUSALS = [
     ("RFPolynomial((RFTerm(F(1), (0,)), RFTerm(F(1), (0,))), 1)", ValueError, NOT_SORTED),
     ("RFPolynomial((RFTerm(F(1), (0, 0)),), 1)", ValueError, "exponent tuple (0, 0) does not have 1 entries"),
     ("symbolic_lp(4)._replace(terms=symbolic_lp(4).terms[::-1])", ValueError, NOT_SORTED),
+    # nvars is checked with no cap, before any term, so an empty polynomial cannot hold a bad one
+    ("RFPolynomial((), None)", ValueError, "variable count None is not an integer"),
+    ("RFPolynomial((), 2.5)", ValueError, "variable count 2.5 is not an integer"),
+    ("MonomialPolynomial({}, -1)", ValueError, "variable count -1 is negative"),
+    ("MonomialPolynomial({(1,): 1}, None)", ValueError, "variable count None is not an integer"),
     # a tuple of the wrong length is refused, where evaluate would zip it down to the shorter one
     ("evaluate(MonomialPolynomial({(1,): F(1), (1, 2): F(1)}, 2), (3, 5))", ValueError,
      "exponent tuple (1,) does not have 2 entries"),
