@@ -15,8 +15,10 @@ Five engines compute it:
 * ``triangular``  - column-oriented forward substitution through the triangular
   system behind that determinant: once a prefix's LP is known, its row steps its
   terms by one small multiply and one exact small division each and adds them into
-  the equations below, stopping at its last nonzero term, so
-  sum over r of min(p_r, n - 1 - r) steps, exact on heights in any order;
+  the equations below, stopping at its last nonzero term.  A row's terms repeat
+  about its middle up to sign, so a row of 16 or more steps that passes its middle
+  steps only to the middle, (p_r - 1) // 2 divisions, and adds the rest as mirrors;
+  at most sum over r of min(p_r, n - 1 - r) divisions, exact on heights in any order;
 * ``theorem``     - sum of binomial products over the lattice points of the
   all-ones polytope, grouped by slack into a table kept reversed, which a
   nonzero difference x steps by x running sums (n capped at ``THEOREM_CAP``);
@@ -66,8 +68,10 @@ THEOREM_CAP = 14
 MAX_COLUMN = 10**7
 # an interpreted step costs about as much as this many small additions in C (see _running_total)
 _STEP = 5
-# count_triangular mirrors a row's terms only from this many steps: mirroring every row made
-# 6 000 tiny counts 34% slower and long-low paths 28% slower, its setup outweighing the steps saved
+# count_triangular mirrors a row's terms only from this many steps (at least 2, or a row has no
+# middle to step to): on shorter rows the mirrored loop's setup costs more than the steps it saves;
+# mirroring from 2 steps made perfbench's algebra triangular_s (tiny counts) 5% slower and left
+# shapes triangular_s where it was
 _MIRROR_STEPS = 16
 
 
@@ -195,16 +199,16 @@ def count_triangular(p: Heights) -> int:
     equation, so equation r is complete when the loop reaches it.  The row steps its term from
     t_r(0) = m * LP(p_1..p_r) as t_r(k) = t_r(k - 1) * (k - m) / (k + 1), one small multiply and
     one exact small division: t_r(k - 1) * (k - m) = (-1)^k (k + 1) binom(m, k + 1) LP(p_1..p_r)
-    for any integer LP.  It stops at its last nonzero term below equation n, k = last =
+    for any integer LP.  The row ends at its last nonzero term below equation n, k = last =
     min(p_r, n - 1 - r).  Since binom(m, k + 1) = binom(m, m - 1 - k), t_r(m - 2 - k) =
     (-1)^m t_r(k), down to the virtual t_r(-1) = -LP(p_1..p_r), whose mirror is t_r(m - 1).  So a
     row of at least ``_MIRROR_STEPS`` steps that reaches past its middle, 2 * last >= m, steps
-    only while k < m - 2 - k, adds each term's mirror when it lies within the row, and for even m
-    steps once more to the middle term, its own mirror: (m - 1) // 2 divisions in place of last.
-    Every other row steps to its last term, so the path costs at most sum over r of
-    min(p_r, n - 1 - r) divisions, O(n * min(n, max p)), and about half that where rows run to
-    their last nonzero term.  Each row depends only on its own height and LP, so the solve is
-    exact on heights in any order.  ``pending[j]`` after row r is (-1)^(j - r) times
+    only while k < m - 2 - k, and for even m once more to the middle term, its own mirror: it
+    makes (m - 2) // 2 divisions in place of last, and adds each term's mirror where
+    m - 2 - k <= last.  Every other row steps to its last term.  The path costs at most
+    sum over r of min(p_r, n - 1 - r) divisions, O(n * min(n, max p)), and about half that where
+    its rows run to their last nonzero term.  Each row depends only on its own height and LP, so
+    the solve is exact on heights in any order.  ``pending[j]`` after row r is (-1)^(j - r) times
     :func:`count_determinant`'s M_r(j), j > r, since a finished row has added every term:
     agreement of the two checks index bookkeeping, and ``det_int``, the ballot form and the
     residue tests the arithmetic.  ``p`` is a height tuple :func:`count` has validated.

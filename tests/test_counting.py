@@ -958,7 +958,8 @@ def test_determinant_rows_stop_at_their_zero_tail(range_steps):
 
 
 def test_triangular_rows_stop_at_their_zero(range_steps):
-    # row r has min(p_r, n - 1 - r) terms past its first; the whole row would be n - 1 - r steps
+    # row r has min(p_r, n - 1 - r) terms past its first, and a mirrored row steps about half of
+    # them; the whole row would be n - 1 - r steps
     rng = random.Random(23)
     for n, top in ZERO_TAIL_SIZES:
         p = tuple(sorted(rng.randint(0, top) for _ in range(n)))
