@@ -3,7 +3,9 @@
 Subcommands: count, enumerate, symbolic, verify, probability.
 Exit codes: 0 success, 1 failed check, engine disagreement or a write to a closed
 stdout, 2 a refusal by argparse or a ``ValueError`` from the library (an unparsable
-path spec, or an endpoint that does not fit the path), 3 capacity exceeded.
+path spec, or an endpoint that does not fit the path), 3 capacity exceeded, or memory
+exhausted: a ``MemoryError`` that escapes a command, such as a ``dp`` column under the
+cap that the process may not allocate, is one ``error: out of memory`` line.
 """
 
 from __future__ import annotations
@@ -214,6 +216,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAPACITY
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_CAPACITY
     finally:
         if digit_limit is not None:

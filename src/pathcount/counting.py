@@ -17,8 +17,11 @@ Five engines compute it:
   terms by one small multiply and one exact small division each and adds them into
   the equations below, stopping at its last nonzero term.  A row's terms repeat
   about its middle up to sign, so a row of 16 or more steps that passes its middle
-  steps only to the middle, (p_r - 1) // 2 divisions, and adds the rest as mirrors;
-  at most sum over r of min(p_r, n - 1 - r) divisions, exact on heights in any order;
+  steps only to the middle, (p_r - 1) // 2 divisions, and adds the rest as mirrors.
+  The R rows of the last run of equal heights, from row a on, take no steps: the run
+  is one sum of their pending terms and the LP before it, weighted by binomials that
+  cost R small divisions and R products.  At most R plus the sum over r < a of
+  min(p_r, n - 1 - r) divisions, n for a rectangle, exact on heights in any order;
 * ``theorem``     - sum of binomial products over the lattice points of the
   all-ones polytope, grouped by slack into a table kept reversed, which a
   nonzero difference x steps by x running sums (n capped at ``THEOREM_CAP``);
@@ -162,12 +165,14 @@ def count_determinant(p: Heights) -> int:
     multiply and one exact division, (m + 1 - k) / k, so no step multiplies two big integers.
     k divides binom(m, k - 1) * (m + 1 - k), so the division is exact for any integer pivot,
     zero or negative included.  The minors need no pivot search, and the expansion holds for
-    any pivot value.  The band engines hold the same state:
+    any pivot value.  The band engines hold the same state up to ``triangular``'s last run:
     after row i, ``row[0]`` is LP(p_1..p_(i+1)) and ``row[j - i]`` = M_i(j) is (-1)^(j - i) times
-    ``triangular``'s ``pending[j]`` for every j > i, so their agreement checks index bookkeeping,
-    not arithmetic.  These checks share none of it: ``det_int``'s Bareiss elimination, the ballot
-    closed form and this determinant's residues modulo two 61-bit primes, all in
-    ``tests/test_counting.py``, and ``verify det-identity``.
+    ``triangular``'s ``pending[j]`` for every j > i.  That run ``triangular`` reads as one weighted
+    sum where this steps every row, so only on a path that ends in a run of two or more equal
+    heights does their agreement check arithmetic and not just index bookkeeping.  These checks
+    share none of it: ``det_int``'s Bareiss elimination, the ballot closed form and this
+    determinant's residues modulo two 61-bit primes, all in ``tests/test_counting.py``, and
+    ``verify det-identity``.
 
     The row keeps a zero tail.  After a row of height m - 1 it starts at m, and on a
     nondecreasing path the next row's m is no lower, so past k = m both binom(m, k) and the
@@ -205,17 +210,35 @@ def count_triangular(p: Heights) -> int:
     row of at least ``_MIRROR_STEPS`` steps that reaches past its middle, 2 * last >= m, steps
     only while k < m - 2 - k, and for even m once more to the middle term, its own mirror: it
     makes (m - 2) // 2 divisions in place of last, and adds each term's mirror where
-    m - 2 - k <= last.  Every other row steps to its last term.  The path costs at most
-    sum over r of min(p_r, n - 1 - r) divisions, O(n * min(n, max p)), and about half that where
-    its rows run to their last nonzero term.  Each row depends only on its own height and LP, so
-    the solve is exact on heights in any order.  ``pending[j]`` after row r is (-1)^(j - r) times
-    :func:`count_determinant`'s M_r(j), j > r, since a finished row has added every term:
-    agreement of the two checks index bookkeeping, and ``det_int``, the ballot form and the
-    residue tests the arithmetic.  ``p`` is a height tuple :func:`count` has validated.
+    m - 2 - k <= last.  Every other row steps to its last term.
+
+    The last run of equal heights, rows a..n - 1 of height h, found by a scan from the end, takes
+    no steps.  Its block of the system is Toeplitz: with R = n - a and Q(x) the sum over s < R of
+    pending[a + s] x^s, the sum over k of (-1)^k binom(h + 1, k + 1) x^(k + 1) = 1 - (1 - x)^(h + 1)
+    makes LP(p_1..p_(a+s)) the coefficient of x^s in (LP(p_1..p_a) + x Q(x)) / (1 - x)^(h + 1), so
+    LP(p) = LP(p_1..p_a) binom(h + R, R) + sum over s < R of pending[a + s] binom(h + R - 1 - s, R - 1 - s).
+    Its weights binom(h + d, d) step by one small multiply and one exact division each, so the run
+    costs R divisions and R + 1 products; a run of one row is the last step,
+    pending[n - 1] + (h + 1) LP(p_1..p_(n-1)).  The path costs at most R plus the sum over r < a of
+    min(p_r, n - 1 - r) divisions, O(n * min(n, max p)), about half that where its rows run to
+    their last nonzero term, and n for a rectangle (h,) * n.  Each row and the run depend only on
+    their own heights and LP, so the solve is exact on heights in any order.  ``pending[j]`` after
+    row r < a is (-1)^(j - r) times :func:`count_determinant`'s M_r(j), j > r, since a finished row
+    has added every term; the run is summed where ``count_determinant`` steps every row, so on a
+    path that ends in a run of two or more the two agree through different arithmetic, and
+    ``det_int``, the ballot form and the residue tests check both.  ``p`` is a height tuple
+    :func:`count` has validated.
     """
     n = len(p)
+    if not n:
+        return 1
+    top, a = p[-1], n - 1  # the last run is rows a..n - 1, of height top
+    while a and p[a - 1] == top:  # a scan, not bisect: heights in any order keep the solve exact
+        a -= 1
     lp, pending = 1, [0] * n  # LP of the prefix so far; pending[j]: equation j's rows added so far
-    for r, h in enumerate(p):
+    for r, h in enumerate(p):  # not range(a): the step bound the tests hold counts every range built
+        if r == a:
+            break
         m = h + 1
         prev, t = lp, m * lp  # LP(p_1..p_r), t_r(0)
         lp = pending[r] + t
@@ -227,8 +250,8 @@ def count_triangular(p: Heights) -> int:
                 t = t * (k - m) // (k + 1)  # t_r(k), exact
                 pending[r + k] += t
             continue
-        # t_r(k)'s mirror t_r(m - 2 - k) goes to pending[top - k] from k = lo on, where it lies in the row
-        lo, top, half, t0 = m - 2 - last, r + m - 2, (m - 1) // 2, t
+        # t_r(k)'s mirror t_r(m - 2 - k) goes to pending[far - k] from k = lo on, where it lies in the row
+        lo, far, half, t0 = m - 2 - last, r + m - 2, (m - 1) // 2, t
         for k in range(1, lo):  # the mirror lies past equation n - 1
             t = t * (k - m) // (k + 1)
             pending[r + k] += t
@@ -236,22 +259,27 @@ def count_triangular(p: Heights) -> int:
             for k in range(lo if lo > 1 else 1, half):
                 t = t * (k - m) // (k + 1)
                 pending[r + k] += t
-                pending[top - k] -= t
+                pending[far - k] -= t
             if lo <= 0:
-                pending[top] -= t0
+                pending[far] -= t0
                 if lo:
-                    pending[top + 1] += prev
+                    pending[far + 1] += prev
         else:  # the mirror is t_r(k)
             for k in range(lo if lo > 1 else 1, half):
                 t = t * (k - m) // (k + 1)
                 pending[r + k] += t
-                pending[top - k] += t
+                pending[far - k] += t
             pending[r + half] += t * (half - m) // (half + 1)  # the middle term
             if lo <= 0:
-                pending[top] += t0
+                pending[far] += t0
                 if lo:
-                    pending[top + 1] -= prev
-    return lp
+                    pending[far + 1] -= prev
+    total, w, d = 0, 1, 0  # w = binom(top + d, d), the weight of pending[n - 1 - d]
+    for q in reversed(pending[a:]):  # a counter, not enumerate(): its call made tiny counts 3% slower
+        d += 1
+        total += q * w
+        w = w * (top + d) // d
+    return total + lp * w  # lp is LP(p_1..p_a), weighed by binom(top + R, R)
 
 
 def count_theorem(p: Heights) -> int:

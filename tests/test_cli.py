@@ -205,6 +205,15 @@ def test_count_recurrence_tall_path_exit_3():
     assert "recurrence engine capacity exceeded" in proc.stderr
 
 
+def test_count_dp_out_of_memory_exit_3_in_a_child():
+    # a dp column of 10^7 integers is under MAX_COLUMN but not under half a GiB of address space:
+    # the MemoryError is one line on stderr and exit 3, not a traceback
+    proc = run_capped("count", "h:9999999,9999999,9999999", "--engine", "dp", limit=1 << 29)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == "error: out of memory\n"
+
+
 def test_enumerate_small(capsys):
     code, out, _ = run(capsys, "enumerate", "h:1,1")
     assert code == 0

@@ -198,13 +198,14 @@ def test_triangular_long_low_paths():
 
 
 def test_triangular_mirrored_rows_match_dp():
-    # row r of a rectangle (h,) * n runs to last = min(h, n - 1 - r), so these take m = h + 1 odd
-    # and even through every last from 0 to h: m - 1 and m - 2 (the mirrors of t_r(-1) and t_r(0)),
-    # ceil(m / 2), the values between, where lo = m - 2 - last > 1, and 15 and 16 around the guard
+    # row r of (h,) * n + (h + 1,) runs to last = min(h, n - r), so these take m = h + 1 odd and
+    # even through every last from 0 to h: m - 1 and m - 2 (the mirrors of t_r(-1) and t_r(0)),
+    # ceil(m / 2), the values between, where lo = m - 2 - last > 1, and 15 and 16 around the guard;
+    # the rectangle (h,) * n itself is one run, which takes no steps
     for h in range(14, 41):
         for n in range(1, 46):
-            p = (h,) * n
-            assert count(p, "triangular") == count(p, "dp"), p
+            for p in ((h,) * n, (h,) * n + (h + 1,)):
+                assert count(p, "triangular") == count(p, "dp"), p
     rng = random.Random(35)
     for _ in range(60):
         top = rng.randint(16, 300)
@@ -543,9 +544,14 @@ def code_names(code):
 
 def test_reference_oracles_do_not_call_running_sums():
     # dp, recurrence and theorem share _running_sums, so agreement between them cannot show a
-    # fault in it; each is checked against one of these, which must not reach it
+    # fault in it; each is checked against one of these, which must not reach it.  The band engines
+    # step their own weights and binomials too, so dp's agreement with triangular on a path that
+    # ends in a run checks _running_total's weighted sum
+    sweeps = {"_running_sums", "_running_total", "_weights"}
     for oracle in (theorem_walk, theorem_table, dp_columns, recurrence_columns):
-        assert not {"_running_sums", "_running_total", "_weights"} & set(code_names(oracle.__code__)), oracle.__name__
+        assert not sweeps & set(code_names(oracle.__code__)), oracle.__name__
+    for engine in (count_triangular, count_determinant):
+        assert not (sweeps | {"mul", "comb", "binom"}) & set(code_names(engine.__code__)), engine.__name__
 
 
 def test_determinant_steps_its_binomials():
@@ -881,6 +887,64 @@ def test_engines_match_bizley_on_small_rational_lines(m, n, k, engine):
     assert count(rational_line(m, n, k), engine) == bizley(m // d, n // d, k * d)
 
 
+def ehrhart_at(p, T):
+    """LP(T * p) as a Fraction, by Lagrange's formula through LP(t * p) for t = 0..n, counted by ``dp``.
+
+    The paths below t * p are the lattice points of the t-th dilate of {0 <= q_1 <= ... <= q_n,
+    q_i <= p_i}, whose constraint matrix is totally unimodular, so its vertices are integral and
+    LP(t * p) is its Ehrhart polynomial in t, of degree at most n: the n + 1 samples fix it.  At a
+    huge T the samples stay small, so this shares no arithmetic with the band engines, which then
+    step and weigh huge heights.
+    """
+    ts = range(len(p) + 1)
+    total = Fraction(0)
+    for i in ts:
+        sample = count(tuple(i * h for h in p), "dp")
+        total += Fraction(sample * prod(T - j for j in ts if j != i), prod(i - j for j in ts if j != i))
+    return total
+
+
+def test_ehrhart_at_is_an_integer_that_dp_reaches():
+    # one and more steps past the samples, where dp still counts T * p directly
+    rng = random.Random(25)
+    for _ in range(30):
+        p = tuple(sorted(rng.randint(0, 4) for _ in range(rng.randint(0, 8))))
+        for T in (len(p) + 1, len(p) + 5, 40):
+            value = ehrhart_at(p, T)
+            assert value.denominator == 1, (p, T)
+            assert value == count(tuple(T * h for h in p), "dp"), (p, T)
+
+
+def test_band_engines_match_ehrhart_at_huge_dilations():
+    # T * p for T from 10^13 to 10^30 on random shapes of up to 60 heights, every other one ending
+    # in a run of at least 3, whose weights binom(T * p_n + d, d) triangular then steps at huge heights
+    rng = random.Random(36)
+    for i in range(12):
+        p = tuple(sorted(rng.randint(0, 5) for _ in range(rng.randint(1, 60))))
+        if i % 2:
+            p = p[:-3] + (p[-1] + rng.randint(0, 2),) * 3
+        T = rng.randint(10**13, 10**30)
+        expected = ehrhart_at(p, T)
+        assert expected.denominator == 1, (p, T)
+        scaled = tuple(T * h for h in p)
+        for engine in ("triangular", "determinant"):
+            assert count(scaled, engine) == expected, (p, T, engine)
+
+
+def test_band_engines_match_ehrhart_just_past_its_samples_on_mirrored_rows():
+    # at T = n + 1 = 41 the first rows, of height 41, reach past their middle by more than
+    # _MIRROR_STEPS steps and are mirrored; the run of height 82 after them is summed
+    p = (1,) * 20 + (2,) * 20
+    T = len(p) + 1
+    scaled = tuple(T * h for h in p)
+    n = len(scaled)
+    lasts = [(min(h, n - 1 - r), h + 1) for r, h in enumerate(scaled[:20])]
+    assert any(last >= counting._MIRROR_STEPS and 2 * last >= m for last, m in lasts)
+    expected = ehrhart_at(p, T)
+    for engine in ("triangular", "determinant"):
+        assert count(scaled, engine) == expected, engine
+
+
 def test_cross_engine_randomized():
     for seed, paths, longest, tallest in ((1234, 200, 12, 40), (50, 50, 9, 30)):
         rng = random.Random(seed)
@@ -912,11 +976,17 @@ def test_determinant_matches_det_int_on_the_full_kreweras_matrix():
 
 
 def unsorted_heights_and_full_kreweras_matrices():
-    """600 height tuples in no order, outside what count passes, each with its whole matrix."""
+    """704 height tuples in no order, outside what count passes, each with its whole matrix."""
     rng = random.Random(6)
     paths = [tuple(rng.randint(0, 5) for _ in range(rng.randint(0, 12))) for _ in range(300)]
     # a tall height among zeros and ones: short rows after a tall one
     paths += [tuple(rng.choice((0, 1, 9)) for _ in range(rng.randint(0, 16))) for _ in range(300)]
+    # a last run of equal heights after a taller one, which a search of sorted heights misplaces
+    paths += [(9, 2, 2, 2), (0, 7, 7, 3, 3, 3), (5, 0, 0), (4, 9, 1, 1, 1, 1)]
+    paths += [
+        tuple(rng.randint(0, 9) for _ in range(rng.randint(1, 8))) + (rng.randint(0, 3),) * rng.randint(2, 6)
+        for _ in range(100)
+    ]
     for p in paths:
         yield p, [[binom(p[i] + 1, j - i + 1) for j in range(len(p))] for i in range(len(p))]
 
@@ -939,6 +1009,27 @@ def range_steps(monkeypatch):
 
     monkeypatch.setattr(counting, "range", counted, raising=False)
     return steps
+
+
+def test_triangular_sums_its_last_run_without_steps(range_steps):
+    # the rows of the last run of equal heights take no steps; stepped row by row, a rectangle
+    # (h,) * n would take about n^2 / 4 steps once h passes n / 2
+    for h, n in product((0, 1, 5, 40, 300, 10**20), (1, 2, 10, 100, 300)):
+        range_steps[0] = 0
+        got = count_triangular((h,) * n)
+        assert range_steps[0] <= n, (h, n)
+        assert got == binom(h + n, n), (h, n)
+    # a random head below a run of R: the head's rows step as before, the run adds at most R
+    rng = random.Random(36)
+    for _ in range(40):
+        head = tuple(sorted(rng.randint(0, 60) for _ in range(rng.randint(0, 80))))
+        top = (head[-1] if head else 0) + rng.randint(1, 40)
+        p = head + (top,) * rng.randint(1, 80)
+        n = len(p)
+        range_steps[0] = 0
+        got = count_triangular(p)
+        assert range_steps[0] <= sum(min(h, n - 1 - r) for r, h in enumerate(head)) + n - len(head), p
+        assert got == count_dp(p), p
 
 
 # long and low, medium, and square, where most rows reach the last equation
