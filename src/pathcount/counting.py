@@ -279,7 +279,7 @@ def count_triangular(p: Heights) -> int:
         d += 1
         total += q * w
         w = w * (top + d) // d
-    return total + lp * w  # lp is LP(p_1..p_a), weighed by binom(top + R, R)
+    return total + lp * w  # lp is LP(p_1..p_a), weighted by binom(top + R, R)
 
 
 def count_theorem(p: Heights) -> int:

@@ -932,17 +932,17 @@ def test_band_engines_match_ehrhart_at_huge_dilations():
 
 
 def test_band_engines_match_ehrhart_just_past_its_samples_on_mirrored_rows():
-    # at T = n + 1 = 41 the first rows, of height 41, reach past their middle by more than
-    # _MIRROR_STEPS steps and are mirrored; the run of height 82 after them is summed
+    # at T = n + 1 and n + 2 the first rows, of height T (m = T + 1 even, then odd), reach past
+    # their middle by more than _MIRROR_STEPS steps and are mirrored; the run of height 2T is summed
     p = (1,) * 20 + (2,) * 20
-    T = len(p) + 1
-    scaled = tuple(T * h for h in p)
-    n = len(scaled)
-    lasts = [(min(h, n - 1 - r), h + 1) for r, h in enumerate(scaled[:20])]
-    assert any(last >= counting._MIRROR_STEPS and 2 * last >= m for last, m in lasts)
-    expected = ehrhart_at(p, T)
-    for engine in ("triangular", "determinant"):
-        assert count(scaled, engine) == expected, engine
+    for T in (len(p) + 1, len(p) + 2):
+        scaled = tuple(T * h for h in p)
+        n = len(scaled)
+        lasts = [(min(h, n - 1 - r), h + 1) for r, h in enumerate(scaled[:20])]
+        assert any(last >= counting._MIRROR_STEPS and 2 * last >= m for last, m in lasts), T
+        expected = ehrhart_at(p, T)
+        for engine in ("triangular", "determinant"):
+            assert count(scaled, engine) == expected, (T, engine)
 
 
 def test_cross_engine_randomized():
