@@ -66,8 +66,11 @@ __all__ = [
 
 # longest path the theorem engine takes; it refuses longer ones, which `count --engine all` skips
 THEOREM_CAP = 14
-# longest column, in integers, that the dp and recurrence engines may build;
-# two such columns of big integers stay within a few hundred megabytes
+# longest column, in integers, that the dp and recurrence engines may build.  It bounds entries,
+# not bytes: an entry can be as long as LP(p), so a column under the cap can pass a gigabyte
+# ((9999999,) * 3 peaked at 1.0 GB under dp, and raised MemoryError under a 0.5 GiB address space).
+# cli.main maps a MemoryError that escapes to exit 3; a cap by predicted bytes that refuses such
+# a path before it allocates is ROADMAP item 24
 MAX_COLUMN = 10**7
 # an interpreted step costs about as much as this many small additions in C (see _running_total)
 _STEP = 5
@@ -218,16 +221,17 @@ def count_triangular(p: Heights) -> int:
     makes LP(p_1..p_(a+s)) the coefficient of x^s in (LP(p_1..p_a) + x Q(x)) / (1 - x)^(h + 1), so
     LP(p) = LP(p_1..p_a) binom(h + R, R) + sum over s < R of pending[a + s] binom(h + R - 1 - s, R - 1 - s).
     Its weights binom(h + d, d) step by one small multiply and one exact division each, so the run
-    costs R divisions and R + 1 products; a run of one row is the last step,
-    pending[n - 1] + (h + 1) LP(p_1..p_(n-1)).  The path costs at most R plus the sum over r < a of
-    min(p_r, n - 1 - r) divisions, O(n * min(n, max p)), about half that where its rows run to
-    their last nonzero term, and n for a rectangle (h,) * n.  Each row and the run depend only on
-    their own heights and LP, so the solve is exact on heights in any order.  ``pending[j]`` after
-    row r < a is (-1)^(j - r) times :func:`count_determinant`'s M_r(j), j > r, since a finished row
-    has added every term; the run is summed where ``count_determinant`` steps every row, so on a
-    path that ends in a run of two or more the two agree through different arithmetic, and
-    ``det_int``, the ballot form and the residue tests check both.  ``p`` is a height tuple
-    :func:`count` has validated.
+    costs R divisions and R + 1 products.  A run of one row, as on most tiny counts, is the last step,
+    pending[n - 1] + (h + 1) LP(p_1..p_(n-1)), returned with no weight loop, and the rows before the
+    run are walked as the slice p[:a], with no test on each row for the run's start.  The path costs
+    at most R plus the sum over r < a of min(p_r, n - 1 - r) divisions, O(n * min(n, max p)), about
+    half that where its rows run to their last nonzero term, and n for a rectangle (h,) * n.  Each row
+    and the run depend only on their own heights and LP, so the solve is exact on heights in any
+    order.  ``pending[j]`` after row r < a is (-1)^(j - r) times :func:`count_determinant`'s M_r(j),
+    j > r, since a finished row has added every term; the run is summed where ``count_determinant``
+    steps every row, so on a path that ends in a run of two or more the two agree through different
+    arithmetic, and ``det_int``, the ballot form and the residue tests check both.  ``p`` is a height
+    tuple :func:`count` has validated.
     """
     n = len(p)
     if not n:
@@ -236,9 +240,7 @@ def count_triangular(p: Heights) -> int:
     while a and p[a - 1] == top:  # a scan, not bisect: heights in any order keep the solve exact
         a -= 1
     lp, pending = 1, [0] * n  # LP of the prefix so far; pending[j]: equation j's rows added so far
-    for r, h in enumerate(p):  # not range(a): the step bound the tests hold counts every range built
-        if r == a:
-            break
+    for r, h in enumerate(p[:a]):  # not range(a): the tests' step bound counts every range built
         m = h + 1
         prev, t = lp, m * lp  # LP(p_1..p_r), t_r(0)
         lp = pending[r] + t
@@ -274,6 +276,8 @@ def count_triangular(p: Heights) -> int:
                 pending[far] += t0
                 if lo:
                     pending[far + 1] -= prev
+    if a == n - 1:  # a run of one row: the sum is the last step, with no weight loop
+        return pending[a] + (top + 1) * lp
     total, w, d = 0, 1, 0  # w = binom(top + d, d), the weight of pending[n - 1 - d]
     for q in reversed(pending[a:]):  # a counter, not enumerate(): its call made tiny counts 3% slower
         d += 1
@@ -294,8 +298,11 @@ def count_theorem(p: Heights) -> int:
     leave slack s.  With w' = [0] + weight, the step for w_i = x > 0 is
     next[m] = sum over u >= m of binom(x - 1 + u - m, u - m) * w'[u], x suffix running
     sums of w'.  Kept reversed, the table takes each new slack-0 entry as an append and
-    these sums as the prefix sums of :func:`_running_sums`.  The last step, x = p_1, is read
-    only as the table's total: its sum when p_1 = 0 and otherwise :func:`_running_total`'s.
+    these sums as the prefix sums of :func:`_running_sums`.  The loop reads each difference from
+    the heights as it goes, with no difference tuple, and pays a single sum, x = 1, in place as one
+    ``accumulate``, as ``dp`` pays a column; x >= 2 goes through :func:`_running_sums`, whose rule
+    then decides.  The last step, x = p_1, is read only as the table's total: its sum when
+    p_1 = 0 and otherwise :func:`_running_total`'s.
     ``p`` is a height tuple :func:`count` has validated; n > ``THEOREM_CAP`` is refused.
     """
     n = len(p)
@@ -303,14 +310,17 @@ def count_theorem(p: Heights) -> int:
         raise CapacityError(f"theorem engine capacity exceeded: n = {n} is over the cap {THEOREM_CAP}")
     if not p:
         return 1
-    v = delta(p)
-    rev = [1]  # the slack table, reversed: rev[-1 - s] is the weight of slack s
-    for x in v[:0:-1]:
+    rev, hi = [1], p[-1]  # the slack table, reversed: rev[-1 - s] is the weight of slack s
+    for lo in p[-2::-1]:  # the differences read here, w_1 = p_n - p_(n-1) first: no delta tuple
+        x = hi - lo
+        hi = lo
         rev.append(0)
-        if x:
+        if x == 1:  # one running sum, paid in place as dp pays a column
+            rev = list(accumulate(rev))
+        elif x:
             rev = _running_sums(rev, x)
     rev.append(0)
-    return _running_total(rev, v[0]) if v[0] else sum(rev)  # the last step's table is read only as its total
+    return _running_total(rev, hi) if hi else sum(rev)  # the last step, x = p_1, read only as a total
 
 
 def _weights(k: int, c: int) -> list[int]:

@@ -741,6 +741,17 @@ def test_cross_engine_exhaustive_small():
             assert len(set(values.values())) == 1, (p, values)
 
 
+def test_triangular_and_theorem_kernels_match_dp_on_every_tiny_path():
+    # the same 1 716 paths through the kernels themselves: most end in a run of one row, which
+    # triangular returns as its last step, and theorem reads each difference from the heights,
+    # a difference of 1 paid as one running sum in place
+    for n in range(7):
+        for p in nondecreasing_tuples(n, 6):
+            want = count_dp(p)
+            assert count_triangular(p) == want, p
+            assert count_theorem(p) == want, p
+
+
 def transpose(p):
     """The heights of p's transpose p*: v_n ones, then v_(n-1) twos, ..., then v_1 n's.
 
@@ -943,6 +954,51 @@ def test_band_engines_match_ehrhart_just_past_its_samples_on_mirrored_rows():
         expected = ehrhart_at(p, T)
         for engine in ("triangular", "determinant"):
             assert count(scaled, engine) == expected, (T, engine)
+
+
+def test_band_engines_match_ehrhart_at_10_30_up_to_100_heights():
+    # n = 64, 80 and 100 at T = 10^30, each once as drawn and once ending in a run of 3; about
+    # 0.05 s of dp samples each
+    rng = random.Random(37)
+    for n in (64, 80, 100):
+        drawn = tuple(sorted(rng.randint(0, 5) for _ in range(n)))
+        for p in (drawn, drawn[:-3] + (drawn[-1] + 1,) * 3):
+            expected = ehrhart_at(p, 10**30)
+            assert expected.denominator == 1, p
+            scaled = tuple(10**30 * h for h in p)
+            for engine in ("triangular", "determinant"):
+                assert count(scaled, engine) == expected, (p, engine)
+
+
+def test_band_engines_match_ehrhart_just_past_n_on_paths_that_start_at_0_and_1():
+    # 80 heights whose early ones are 0 and 1: at T just above n the rows of height T reach past
+    # their middle by at least _MIRROR_STEPS steps, so a score of them are mirrored, m = T + 1
+    # even and odd; the taller rows after them step whole and the last run is summed
+    rng = random.Random(87)
+    for zeros in (10, 5):
+        p = (0,) * zeros + (1,) * (40 - zeros) + tuple(sorted(rng.randint(2, 4) for _ in range(40)))
+        n = len(p)
+        for T in (n + 1, n + 2, n + 7):
+            scaled = tuple(T * h for h in p)
+            mirrored = [r for r, h in enumerate(p) if h == 1 and 2 * min(T, n - 1 - r) >= T + 1]
+            assert len(mirrored) >= 20 and n - 1 - mirrored[-1] >= counting._MIRROR_STEPS, (zeros, T)
+            expected = ehrhart_at(p, T)
+            for engine in ("triangular", "determinant"):
+                assert count(scaled, engine) == expected, (zeros, T, engine)
+
+
+def test_recurrence_and_theorem_match_ehrhart_where_they_finish():
+    # recurrence builds a column of T * p_(n-1) + 1 entries, so T stays near 10^3; theorem's
+    # table has at most n + 2 entries at any T, so it also takes T = 10^30, up to its cap on n
+    rng = random.Random(25)
+    for _ in range(8):
+        p = tuple(sorted(rng.randint(0, 4) for _ in range(rng.randint(1, counting.THEOREM_CAP))))
+        T = rng.randint(10**3, 3 * 10**3)
+        expected = ehrhart_at(p, T)
+        scaled = tuple(T * h for h in p)
+        assert count(scaled, "recurrence") == expected, (p, T)
+        assert count(scaled, "theorem") == expected, (p, T)
+        assert count(tuple(10**30 * h for h in p), "theorem") == ehrhart_at(p, 10**30), p
 
 
 def test_cross_engine_randomized():
