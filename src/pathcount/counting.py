@@ -311,7 +311,7 @@ def count_theorem(p: Heights) -> int:
     if not p:
         return 1
     rev, hi = [1], p[-1]  # the slack table, reversed: rev[-1 - s] is the weight of slack s
-    for lo in p[-2::-1]:  # the differences read here, w_1 = p_n - p_(n-1) first: no delta tuple
+    for lo in p[-2::-1]:  # x = hi - lo is w_1 = p_n - p_(n-1), then w_2, ..., w_(n-1)
         x = hi - lo
         hi = lo
         rev.append(0)

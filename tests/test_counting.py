@@ -971,9 +971,9 @@ def test_band_engines_match_ehrhart_at_10_30_up_to_100_heights():
 
 
 def test_band_engines_match_ehrhart_just_past_n_on_paths_that_start_at_0_and_1():
-    # 80 heights whose early ones are 0 and 1: at T just above n the rows of height T reach past
-    # their middle by at least _MIRROR_STEPS steps, so a score of them are mirrored, m = T + 1
-    # even and odd; the taller rows after them step whole and the last run is summed
+    # 80 heights whose early ones are 0 and 1: at T just above n a score of the rows of height T
+    # have at least _MIRROR_STEPS steps and reach past their middle, so they are mirrored, with
+    # m = T + 1 even and odd; the taller rows after them step whole and the last run is summed
     rng = random.Random(87)
     for zeros in (10, 5):
         p = (0,) * zeros + (1,) * (40 - zeros) + tuple(sorted(rng.randint(2, 4) for _ in range(40)))
