@@ -4,8 +4,9 @@
 ``v``, equals the number of paths restricted by the height path ``sigma(v)``.
 Five engines compute it:
 
-* ``recurrence``  - bottom-up head recurrence on difference vectors, each
-  column one running sum of the last, a run of zero differences paid at once;
+* ``recurrence``  - bottom-up head recurrence on the differences v = delta(p), read from
+  the heights as it goes: column k holds f_k(s) for v_k <= s <= p_k, each column one
+  running sum of the last, a run of zero differences paid at once;
 * ``determinant`` - Kreweras' binomial determinant; its matrix is upper
   Hessenberg with every subdiagonal entry 1, so one cofactor expansion row by
   row evaluates it exactly with no pivot search: each row steps binom(p_i + 1, k)
@@ -31,7 +32,7 @@ Five engines compute it:
 
 ``recurrence``, ``theorem`` and ``dp`` pay k running sums over c entries through one
 helper, ``_running_sums``, as k passes or as one weighted sum, by the rule in its docstring.
-``dp`` and ``theorem`` read their last column only as its total, which ``_running_total``
+All three read their last column only as its total, which ``_running_total``
 pays as one sum of c products where its own rule finds that cheaper than the passes.
 A path that ends in a run of equal heights pays that run in O(c) steps; (n,) * n costs O(n).
 The engines are reached through :func:`count`, which validates the path once and runs its
@@ -51,7 +52,7 @@ from operator import mul
 from typing import Iterator
 
 from .exactmath import factorial
-from .paths import Diffs, Heights, Point, _shown, as_integers, delta, validate_diffs, validate_heights
+from .paths import Diffs, Heights, Point, _shown, as_integers, validate_diffs, validate_heights
 
 __all__ = [
     "CapacityError",
@@ -120,8 +121,8 @@ def enumerate_polytope(v: Diffs) -> Iterator[Point]:
             cap[j] = room
 
 
-def count_recurrence(v: Diffs) -> int:
-    """Count lattice points of the polytope of ``v`` by the head recurrence.
+def count_recurrence(p: Heights) -> int:
+    """Count lattice points of the polytope of v = delta(p) by the head recurrence.
 
     lp(()) = 1 and lp(v) = sum over j = 0..v_1 of
     lp((v_1 + v_2 - j, v_3, ..., v_n)): group points by first coordinate j;
@@ -129,29 +130,34 @@ def count_recurrence(v: Diffs) -> int:
     With f_k(s) = lp((s, v_{k+1}, ..., v_n)) this reads
     f_k(s) = sum over t = v_{k+1}..s + v_{k+1} of f_{k+1}(t), and
     f_n(s) = s + 1.  The columns f_n, ..., f_1 are built right to left, each as one
-    running sum of the last, and lp(v) = f_1(v_1).  Column k is kept only for
-    v_k <= s <= v_1 + ... + v_k, the arguments column k - 1 reads.  A zero difference
-    cuts nothing, so it only owes its running sum: :func:`_running_sums` pays a run's
-    sums before the next nonzero difference.
+    running sum of the last, and lp(v) = f_1(v_1).  Column k holds f_k(s) for
+    v_k <= s <= p_k, the arguments column k - 1 reads, so it has p_(k-1) + 1 entries.
+    The loop reads each difference from the heights as it goes, with no difference tuple.
+    A zero difference cuts nothing, so it only owes its running sum: :func:`_running_sums`
+    pays a run's sums before the next nonzero difference.  The last step, x = v_1 = p_1,
+    leaves one entry, the sum of column 2, so that column is read only as its total:
+    its sum, or :func:`_running_total`'s when sums are still owed.
 
-    ``v`` is the difference vector of a height tuple p that :func:`count` has validated.
-    The first column, of p_(n-1) + 1 entries, is the longest; over ``MAX_COLUMN`` it is
-    refused through ``CapacityError`` before it is built.
+    ``p`` is a height tuple :func:`count` has validated.  The first column, of p_(n-1) + 1
+    entries, is the longest; over ``MAX_COLUMN`` it is refused through ``CapacityError``
+    before it is built.
     """
-    if not v:
+    if not p:
         return 1
-    column, owed = range(v[-1] + 1, sum(v) + 2), 0
-    width = column.stop - column.start  # len() overflows past sys.maxsize
-    if width > MAX_COLUMN:
-        raise _column_refusal("recurrence", width)
-    for x in reversed(v[:-1]):
+    hi = p[-2] if len(p) > 1 else 0  # p_(n-1), with p_0 = 0
+    if hi >= MAX_COLUMN:
+        raise _column_refusal("recurrence", hi + 1)
+    column, owed = range(p[-1] - hi + 1, p[-1] + 2), 0  # f_n(s) = s + 1 for v_n <= s <= p_n
+    for lo in p[-3::-1]:  # x = hi - lo is v_(n-1) = p_(n-1) - p_(n-2), then v_(n-2), ..., v_2
+        x = hi - lo
+        hi = lo
         if not x:
             owed += 1
             continue
         if owed:
             column, owed = _running_sums(list(column), owed), 0
         column = list(accumulate(column))[x:]
-    return column[0]  # a running sum never changes the first entry: passes still owed are dropped
+    return _running_total(list(column), owed) if owed else sum(column)  # the last step, x = p_1
 
 
 def count_determinant(p: Heights) -> int:
@@ -488,7 +494,7 @@ def macmahon_bruteforce(n: int, m: int) -> int:
 
 # engine name -> kernel(heights); a kernel over its cap raises CapacityError
 _KERNELS = {
-    "recurrence": lambda p: count_recurrence(delta(p)),
+    "recurrence": count_recurrence,
     "determinant": count_determinant,
     "triangular": count_triangular,
     "theorem": count_theorem,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .paths import _shown, as_integer
+from .paths import _shown, as_integer, as_nonnegative
 
 __all__ = [
     "binom",
@@ -52,17 +52,13 @@ def rising_factorial(a: int, m: int) -> int:
 
     An argument that ``operator.index`` refuses, or a negative ``m``, raises ``ValueError``.
     """
-    a, m = as_integer(a, "rising factorial base"), as_integer(m, "rising factorial length")
-    if m < 0:
-        raise ValueError(f"rising factorial length {_shown(m)} is negative")
+    a, m = as_integer(a, "rising factorial base"), as_nonnegative(m, "rising factorial length")
     return math.prod(range(a, a + m))
 
 
 def catalan(n: int) -> int:
     """The n-th Catalan number binom(2n, n) / (n + 1), exactly; a non-integer or negative n raises ValueError."""
-    n = as_integer(n, "Catalan index")
-    if n < 0:
-        raise ValueError(f"Catalan index {_shown(n)} is negative")
+    n = as_nonnegative(n, "Catalan index")
     return math.comb(2 * n, n) // (n + 1)
 
 

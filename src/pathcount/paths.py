@@ -83,6 +83,14 @@ def as_integer(x, what: str) -> int:
         raise ValueError(f"{what} {_shown(x)} is not an integer") from None
 
 
+def as_nonnegative(x, what: str) -> int:
+    """Return ``x`` as an int, refused as :func:`as_integer` refuses it or when negative."""
+    x = as_integer(x, what)
+    if x < 0:
+        raise ValueError(f"{what} {_shown(x)} is negative")
+    return x
+
+
 def as_integers(values, what: str) -> tuple[int, ...]:
     """Return ``values`` as a tuple of ints, each checked by :func:`as_integer`."""
     return tuple(as_integer(x, what) for x in values)

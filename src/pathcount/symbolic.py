@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from .counting import CapacityError, enumerate_polytope
 from .exactmath import factorial, rising_factorial
-from .paths import Diffs, _shown, as_integer, as_integers
+from .paths import Diffs, _shown, as_integers, as_nonnegative
 
 # largest n that symbolic_lp expands: C_13 = 742 900 stored terms, about 300 MB
 SYMBOLIC_CAP = 12
@@ -40,14 +40,6 @@ __all__ = [
 ]
 
 
-def _variable_count(n) -> int:
-    """Return ``n`` as an int, refusing a value that is not a nonnegative integer."""
-    n = as_integer(n, "variable count")
-    if n < 0:
-        raise ValueError(f"variable count {_shown(n)} is negative")
-    return n
-
-
 def _check_terms(exps, coeffs, nvars: int) -> int:
     """Refuse terms a polynomial cannot hold; return ``nvars`` as an int.
 
@@ -57,7 +49,7 @@ def _check_terms(exps, coeffs, nvars: int) -> int:
     the cached form), and every coefficient an ``int`` or a ``Fraction``.
     """
     from fractions import Fraction
-    nvars = _variable_count(nvars)
+    nvars = as_nonnegative(nvars, "variable count")
     for e in exps:
         if not isinstance(e, tuple):
             raise ValueError(f"exponents {_shown(e)} are not a tuple")
@@ -168,7 +160,7 @@ def _integer_form(
 
 def check_nvars(n: int) -> int:
     """Return ``n`` as an int, refusing a variable count ``symbolic_lp`` would not expand."""
-    n = _variable_count(n)
+    n = as_nonnegative(n, "variable count")
     if n > SYMBOLIC_CAP:
         raise CapacityError(f"symbolic expansion capacity exceeded: n = {_shown(n)} is over the cap {SYMBOLIC_CAP}")
     return n

@@ -117,10 +117,11 @@ def test_enumerate_polytope_long_single_point():
 
 
 def test_recurrence_base_cases():
+    # lp(()) = 1, lp((s,)) = s + 1, and lp((1, 1, 1)) counts the paths below the heights (1, 2, 3)
     assert count_recurrence(()) == 1
     assert count_recurrence((4,)) == 5
-    assert count_recurrence((1, 1, 1)) == 14
-    assert count_recurrence((1, 1, 1)) == brute_restricted_count((1, 2, 3))
+    assert count_recurrence(sigma((1, 1, 1))) == 14
+    assert count_recurrence((1, 2, 3)) == brute_restricted_count((1, 2, 3))
 
 
 def test_recurrence_fills_memo():
@@ -130,13 +131,13 @@ def test_recurrence_fills_memo():
         for k in range(len(v) - 1):
             for s in range(v[k], sum(v[: k + 1]) + 1):
                 tail = v[k + 1 :]
-                head = count_recurrence((s,) + tail)
+                head = count_recurrence(sigma((s,) + tail))
                 nxt = sum(
-                    count_recurrence((t,) + tail[1:])
+                    count_recurrence(sigma((t,) + tail[1:]))
                     for t in range(tail[0], s + tail[0] + 1)
                 )
                 assert head == nxt, (v, k, s)
-    assert count_recurrence((2, 1)) == brute_restricted_count((2, 3))
+    assert count_recurrence(sigma((2, 1))) == brute_restricted_count((2, 3))
 
 
 def test_memo_entries_match_oracle():
@@ -145,11 +146,11 @@ def test_memo_entries_match_oracle():
     for _ in range(25):
         n = rng.randint(0, 7)
         v = tuple(rng.randint(0, 6) for _ in range(n))
-        assert count_recurrence(v) == count_dp(sigma(v)), v
+        assert count_recurrence(sigma(v)) == count_dp(sigma(v)), v
         for k in range(1, n):
             for s in range(sum(v[:k]) + 1):
                 u = (s,) + v[k:]
-                assert count_recurrence(u) == count_dp(sigma(u)), u
+                assert count_recurrence(sigma(u)) == count_dp(sigma(u)), u
 
 
 def test_recurrence_long_low_paths():
@@ -411,7 +412,7 @@ def test_dp_oracle_at_benchmark_sizes():
         tuple(range(1, 301)),  # staircase
     )
     for p in paths:
-        assert count_dp(p) == count_recurrence(delta(p)), p[:3]
+        assert count_dp(p) == count_recurrence(p), p[:3]
     assert count_dp((200,) * 200) == binom(400, 200)
     assert count_dp(tuple(range(1, 301))) == catalan(301)
 
@@ -522,15 +523,15 @@ def test_tiny_counts_pay_their_runs_by_passes(weighted_sums, total_products):
 def test_recurrence_matches_recurrence_columns_exhaustively():
     for n in range(7):
         for p in nondecreasing_tuples(n, 6):
-            assert count_recurrence(delta(p)) == recurrence_columns(delta(p)), p
+            assert count_recurrence(p) == recurrence_columns(delta(p)), p
 
 
 def test_recurrence_weighted_sum_on_long_low_paths(weighted_sums):
     rng = random.Random(17)
     for n, top in ((3000, 6), (1200, 40)):
-        v = delta(tuple(sorted(rng.randint(0, top) for _ in range(n))))
+        p = tuple(sorted(rng.randint(0, top) for _ in range(n)))
         weighted_sums.clear()
-        assert count_recurrence(v) == recurrence_columns(v), (n, top)
+        assert count_recurrence(p) == recurrence_columns(delta(p)), (n, top)
         assert weighted_sums, (n, top)
 
 
@@ -708,6 +709,11 @@ def test_engine_kernels_are_not_exported():
     assert not engine_bodies & (set(pathcount.__all__) | set(vars(pathcount)))
 
 
+def test_engine_table_holds_the_kernels_with_no_adapter():
+    # count hands every kernel the same validated height tuple: no engine is reached through a wrapper
+    assert counting._KERNELS == {engine: getattr(counting, f"count_{engine}") for engine in ENGINES}
+
+
 def test_column_guard(monkeypatch):
     # dp builds a column of p_n + 1 heights, recurrence one of p_(n-1) + 1
     monkeypatch.setattr(counting, "MAX_COLUMN", 5)
@@ -717,9 +723,9 @@ def test_column_guard(monkeypatch):
         with pytest.raises(CapacityError) as refused:
             count(p, engine)
         assert str(refused.value) == f"{engine} engine capacity exceeded: a column of 6 integers is over the cap 5"
-    # count_recurrence guards its own column: the difference vector of (5, 9) is refused alike
+    # count_recurrence guards its own column: called directly it refuses (5, 9) alike
     with pytest.raises(CapacityError) as direct:
-        count_recurrence((5, 4))
+        count_recurrence((5, 9))
     with pytest.raises(CapacityError) as through_count:
         count((5, 9), "recurrence")
     assert str(direct.value) == str(through_count.value)
@@ -987,6 +993,18 @@ def test_band_engines_match_ehrhart_just_past_n_on_paths_that_start_at_0_and_1()
                 assert count(scaled, engine) == expected, (zeros, T, engine)
 
 
+# bounded by size: at most 6 heights of at most 4, so 7 dp samples of at most 24 heights each
+@settings(deadline=None)
+@given(st.lists(st.integers(0, 4), max_size=6).map(lambda heights: tuple(sorted(heights))), st.data())
+def test_band_engines_match_ehrhart_at_any_scale_on_small_paths(p, data):
+    T = data.draw(st.integers(len(p) + 1, 10**30))
+    expected = ehrhart_at(p, T)
+    assert expected.denominator == 1, T
+    scaled = tuple(T * h for h in p)
+    for engine in ("triangular", "determinant"):
+        assert count(scaled, engine) == expected, (T, engine)
+
+
 def test_recurrence_and_theorem_match_ehrhart_where_they_finish():
     # recurrence builds a column of T * p_(n-1) + 1 entries, so T stays near 10^3; theorem's
     # table has at most n + 2 entries at any T, so it also takes T = 10^30, up to its cap on n
@@ -1182,7 +1200,7 @@ def test_restriction_bijection_counts():
                 for q in product(*(range(h + 1) for h in p))
                 if all(q[i] <= q[i + 1] for i in range(len(q) - 1))
             )
-            assert direct == count_recurrence(delta(p))
+            assert direct == count_recurrence(p)
 
 
 def test_enumerate_restricted():

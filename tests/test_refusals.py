@@ -108,8 +108,8 @@ LIBRARY_REFUSALS = [
     # dp builds a column of p_n + 1 heights, recurrence one of p_(n-1) + 1; a length past len() is refused too
     ("count((10**5000,), 'dp')", CapacityError, COLUMN.format("dp", BIG)),
     ("count((10**5000,) * 2, 'recurrence')", CapacityError, COLUMN.format("recurrence", BIG)),
-    ("counting.count_recurrence((10**9, 1))", CapacityError, COLUMN.format("recurrence", 1000000001)),
-    ("counting.count_recurrence((10**30, 1))", CapacityError, COLUMN.format("recurrence", BIG)),
+    ("counting.count_recurrence((10**9, 10**9 + 1))", CapacityError, COLUMN.format("recurrence", 1000000001)),
+    ("counting.count_recurrence((10**30, 10**30 + 1))", CapacityError, COLUMN.format("recurrence", BIG)),
     ("counting.count_theorem(tuple(range(1, 16)))", CapacityError,
      "theorem engine capacity exceeded: n = 15 is over the cap 14"),
     ("list(enumerate_polytope((2, -1)))", ValueError, "difference -1 is negative"),
