@@ -707,9 +707,6 @@ def test_engine_kernels_are_not_exported():
         assert all(obj is not kernel for obj in public), engine
     engine_bodies = {"count_recurrence", "count_determinant", "count_triangular", "count_theorem", "count_dp"}
     assert not engine_bodies & (set(pathcount.__all__) | set(vars(pathcount)))
-
-
-def test_engine_table_holds_the_kernels_with_no_adapter():
     # count hands every kernel the same validated height tuple: no engine is reached through a wrapper
     assert counting._KERNELS == {engine: getattr(counting, f"count_{engine}") for engine in ENGINES}
 
